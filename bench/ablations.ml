@@ -453,147 +453,115 @@ let montgomery () =
   ignore (hot_path_tables ())
 
 (* ------------------------------------------------------------------ *)
-(* Machine-readable perf trajectory: BENCH_modexp.json records ops/sec
-   for each exponentiation configuration plus the end-to-end P2 sweep,
-   so future optimization PRs can diff against this one numerically. *)
+(* Machine-readable hot-path record: BENCH_modexp.json holds ops/sec for
+   each exponentiation configuration, CRT decryption, joint 2-base
+   exponentiation, batch encryption and the Karatsuba calibration, so
+   optimization work can diff against it numerically.  End-to-end
+   protocol times live in the repository benchmark (perfbench/). *)
 
-let modexp_json ?(path = "BENCH_modexp.json") ?(rounds = 7) ~sizes () =
-  let buf = Buffer.create 4096 in
+let modexp_json ?(rounds = 7) () =
   let ops_per_sec t = 1.0 /. Float.max 1e-9 t in
+  let speedup before after = before /. Float.max 1e-9 after in
   (* A low round count is the CI smoke configuration: shrink the
      per-sample floor too so the whole emitter stays fast. *)
   let min_time = if rounds <= 2 then 0.002 else 0.02 in
-  Buffer.add_string buf "{\n";
   (* Microbenchmark: the four configurations per modulus width. *)
-  let workloads = modexp_workloads @ [ (2048, None) ] in
-  let samples =
-    List.map (fun (bits, exp_bits) -> measure_modexp ~rounds ?exp_bits bits) workloads
+  let modexp =
+    List.concat_map
+      (fun (bits, exp_bits) ->
+        let s = measure_modexp ~rounds ?exp_bits bits in
+        Bench_util.rows
+          (Printf.sprintf "modexp modulus_bits=%d exponent_bits=%d" s.ms_bits s.ms_exp_bits)
+          [
+            ("plain", "ops/s", ops_per_sec s.t_plain);
+            ("per_call_montgomery", "ops/s", ops_per_sec s.t_per_call);
+            ("cached_context", "ops/s", ops_per_sec s.t_cached);
+            ("fixed_base", "ops/s", ops_per_sec s.t_fixed_base);
+          ])
+      (modexp_workloads @ [ (2048, None) ])
   in
-  Buffer.add_string buf "  \"modexp_ops_per_sec\": [\n";
-  List.iteri
-    (fun i s ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"modulus_bits\": %d, \"exponent_bits\": %d, \"plain\": %.2f, \
-            \"per_call_montgomery\": %.2f, \"cached_context\": %.2f, \
-            \"fixed_base\": %.2f }%s\n"
-           s.ms_bits s.ms_exp_bits (ops_per_sec s.t_plain) (ops_per_sec s.t_per_call)
-           (ops_per_sec s.t_cached) (ops_per_sec s.t_fixed_base)
-           (if i = List.length samples - 1 then "" else ",")))
-    samples;
-  Buffer.add_string buf "  ],\n";
   (* CRT Paillier decryption: before (decrypt_plain) / after (CRT). *)
-  let crt = List.map (measure_crt ~rounds ~min_time) [ 512; 1024 ] in
-  Buffer.add_string buf "  \"crt_paillier_ops_per_sec\": [\n";
-  List.iteri
-    (fun i s ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"key_bits\": %d, \"decrypt_plain\": %.2f, \"decrypt_crt\": %.2f, \
-            \"speedup\": %.2f }%s\n"
-           s.crt_bits (ops_per_sec s.t_plain_dec) (ops_per_sec s.t_crt_dec)
-           (s.t_plain_dec /. Float.max 1e-9 s.t_crt_dec)
-           (if i = List.length crt - 1 then "" else ",")))
-    crt;
-  Buffer.add_string buf "  ],\n";
+  let crt =
+    List.concat_map
+      (fun s ->
+        Bench_util.rows
+          (Printf.sprintf "crt_paillier key_bits=%d" s.crt_bits)
+          [
+            ("decrypt_plain", "ops/s", ops_per_sec s.t_plain_dec);
+            ("decrypt_crt", "ops/s", ops_per_sec s.t_crt_dec);
+            ("speedup", "x", speedup s.t_plain_dec s.t_crt_dec);
+          ])
+      (List.map (measure_crt ~rounds ~min_time) [ 512; 1024 ])
+  in
   (* Simultaneous 2-base exponentiation vs two separate mod_pows. *)
-  let me = List.map (measure_multi_exp ~rounds ~min_time) [ 256; 512; 1024 ] in
-  Buffer.add_string buf "  \"multi_exp_ops_per_sec\": [\n";
-  List.iteri
-    (fun i s ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"modulus_bits\": %d, \"two_mod_pows\": %.2f, \"joint_pow2\": %.2f, \
-            \"speedup\": %.2f }%s\n"
-           s.me_bits (ops_per_sec s.t_separate) (ops_per_sec s.t_joint)
-           (s.t_separate /. Float.max 1e-9 s.t_joint)
-           (if i = List.length me - 1 then "" else ",")))
-    me;
-  Buffer.add_string buf "  ],\n";
+  let multi_exp =
+    List.concat_map
+      (fun s ->
+        Bench_util.rows
+          (Printf.sprintf "multi_exp modulus_bits=%d" s.me_bits)
+          [
+            ("two_mod_pows", "ops/s", ops_per_sec s.t_separate);
+            ("joint_pow2", "ops/s", ops_per_sec s.t_joint);
+            ("speedup", "x", speedup s.t_separate s.t_joint);
+          ])
+      (List.map (measure_multi_exp ~rounds ~min_time) [ 256; 512; 1024 ])
+  in
   (* Domain-parallel source encryption at 1/2/4 domains.  The speedup is
      whatever this machine's cores allow; recommended_domains records the
      parallelism actually available when the numbers were taken. *)
   let batch = measure_batch ~rounds:(Stdlib.max 2 (rounds / 2)) ~domain_counts:[ 1; 2; 4 ] () in
-  let batch_base =
-    match batch with s :: _ -> s.bs_tuples_per_sec | [] -> 1.0
+  let batch_base = match batch with s :: _ -> s.bs_tuples_per_sec | [] -> 1.0 in
+  let batch =
+    Bench_util.rows "batch_encrypt"
+      [
+        ("tuples", "count", float_of_int batch_tuples);
+        ("payload_bytes", "B", float_of_int batch_payload_bytes);
+        ("recommended_domains", "count", float_of_int (Batch.recommended_domains ()));
+      ]
+    @ List.concat_map
+        (fun s ->
+          Bench_util.rows
+            (Printf.sprintf "batch_encrypt domains=%d" s.bs_domains)
+            [
+              ("tuples_per_sec", "1/s", s.bs_tuples_per_sec);
+              ("speedup_vs_1", "x", s.bs_tuples_per_sec /. Float.max 1e-9 batch_base);
+            ])
+        batch
   in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"batch_encrypt\": { \"tuples\": %d, \"payload_bytes\": %d, \
-        \"recommended_domains\": %d, \"rows\": [\n"
-       batch_tuples batch_payload_bytes (Batch.recommended_domains ()));
-  List.iteri
-    (fun i s ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"domains\": %d, \"tuples_per_sec\": %.2f, \"speedup_vs_1\": %.2f }%s\n"
-           s.bs_domains s.bs_tuples_per_sec
-           (s.bs_tuples_per_sec /. Float.max 1e-9 batch_base)
-           (if i = List.length batch - 1 then "" else ",")))
-    batch;
-  Buffer.add_string buf "  ] },\n";
   (* Karatsuba calibration: crossover width and recursive threshold. *)
   let sweep, crossover, _, best_threshold =
     measure_karatsuba ~rounds:(Stdlib.max 2 (rounds - 2)) ~min_time ()
   in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"karatsuba\": { \"crossover_limbs\": %d, \"best_recursive_threshold_2048\": %d, \
-        \"default_threshold\": %d, \"sweep\": [\n"
-       crossover best_threshold !Bigint.karatsuba_threshold);
-  List.iteri
-    (fun i s ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"limbs\": %d, \"schoolbook_us\": %.3f, \"one_split_us\": %.3f }%s\n"
-           s.ks_limbs (s.ks_school *. 1e6) (s.ks_split *. 1e6)
-           (if i = List.length sweep - 1 then "" else ",")))
-    sweep;
-  Buffer.add_string buf "  ] },\n";
-  (* End-to-end: the P2 perf sweep, wall clock per protocol per size. *)
-  let schemes = Protocol.all_schemes in
-  Buffer.add_string buf "  \"perf_sweep_seconds\": [\n";
-  List.iteri
-    (fun i size ->
-      let env, client, query =
-        Workload.scenario ~params:Experiments.bench_params
-          (Experiments.spec_for_domain size)
-      in
-      let fields =
-        List.map
-          (fun scheme ->
-            let t =
-              Bench_util.time_median ~runs:3 (fun () ->
-                  Protocol.run_exn scheme env client ~query)
-            in
-            Printf.sprintf "\"%s\": %.4f" (Protocol.scheme_name scheme) t)
-          schemes
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "    { \"domactive\": %d, %s }%s\n" size
-           (String.concat ", " fields)
-           (if i = List.length sizes - 1 then "" else ",")))
-    sizes;
-  Buffer.add_string buf "  ],\n";
-  (* Cache efficacy over one PM run at the reference size. *)
+  let karatsuba =
+    Bench_util.rows "karatsuba"
+      [
+        ("crossover_limbs", "limbs", float_of_int crossover);
+        ("best_recursive_threshold_2048", "limbs", float_of_int best_threshold);
+        ("default_threshold", "limbs", float_of_int !Bigint.karatsuba_threshold);
+      ]
+    @ List.concat_map
+        (fun s ->
+          Bench_util.rows
+            (Printf.sprintf "karatsuba limbs=%d" s.ks_limbs)
+            [
+              ("schoolbook_us", "us", s.ks_school *. 1e6);
+              ("one_split_us", "us", s.ks_split *. 1e6);
+            ])
+        sweep
+  in
+  (* Transparent context-cache efficacy over one run of every scheme. *)
   let env, client, query =
     Workload.scenario ~params:Experiments.bench_params (Experiments.spec_for_domain 8)
   in
   Bigint.ctx_cache_reset ();
-  List.iter
-    (fun scheme -> ignore (Protocol.run_exn scheme env client ~query))
-    Protocol.all_schemes;
+  List.iter (fun scheme -> ignore (Protocol.run_exn scheme env client ~query)) Protocol.all_schemes;
   let hits, misses = Bigint.ctx_cache_stats () in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"ctx_cache\": { \"workload\": \"all-schemes domactive=8\", \"hits\": %d, \
-        \"misses\": %d }\n"
-       hits misses);
-  Buffer.add_string buf "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s (%d bytes)\n" path (Buffer.length buf)
+  let ctx_cache =
+    Bench_util.rows "ctx_cache all-schemes domactive=8"
+      [ ("hits", "count", float_of_int hits); ("misses", "count", float_of_int misses) ]
+  in
+  Bench_util.write_record ~suite:"modexp" ~params:Experiments.record_params
+    (modexp @ crt @ multi_exp @ batch @ karatsuba @ ctx_cache)
 
 (* ------------------------------------------------------------------ *)
 (* A6 — lean set-operation protocols vs full join + projection. *)

@@ -1,5 +1,6 @@
 (* Shared helpers for the benchmark harness: text tables, direct timing,
-   and a thin wrapper around Bechamel's OLS pipeline. *)
+   a thin wrapper around Bechamel's OLS pipeline, and the one record
+   every BENCH_<suite>.json file carries. *)
 
 let heading title =
   let bar = String.make (String.length title) '=' in
@@ -107,3 +108,64 @@ let print_bechamel_table title estimates =
   subheading title;
   print_table ~headers:[ "benchmark"; "time/run" ]
     (List.map (fun (name, ns) -> [ name; fmt_ns ns ]) estimates)
+
+(* The benchmark record: {suite, params, rows: [{case, metric, unit,
+   value}]}.  A case names what was measured, with its identifying
+   parameters as key=value words ("transfer shards=4 rows=10000");
+   categorical facts ride in the case name or become 0/1 metrics. *)
+type row = { case : string; metric : string; unit : string; value : float }
+
+let rows case metrics =
+  List.map (fun (metric, unit, value) -> { case; metric; unit; value }) metrics
+
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 1)
+    fmt
+
+let write_record ~suite ~params rows =
+  if rows = [] then fail "BENCH_%s.json: no rows" suite;
+  List.iter
+    (fun r ->
+      if not (Float.is_finite r.value) then
+        fail "BENCH_%s.json: %s / %s is not finite" suite r.case r.metric)
+    rows;
+  let module Json = Secmed_obs.Json in
+  let row r =
+    Json.Obj
+      [
+        ("case", Json.Str r.case);
+        ("metric", Json.Str r.metric);
+        ("unit", Json.Str r.unit);
+        ("value", Json.Float r.value);
+      ]
+  in
+  let json =
+    Json.Obj
+      [
+        ("suite", Json.Str suite);
+        ("params", Json.Obj params);
+        ("rows", Json.List (List.map row rows));
+      ]
+  in
+  let path = Printf.sprintf "BENCH_%s.json" suite in
+  let contents = Json.to_string_pretty json ^ "\n" in
+  let oc = open_out path in
+  output_string oc contents;
+  close_out oc;
+  Printf.printf "wrote %s (%d rows)\n%!" path (List.length rows)
+
+(* The emitter's load-bearing invariants, each "every row of [metric]
+   reads [value]", checked on the written record (so a failing run still
+   leaves its numbers behind): any violation exits non-zero. *)
+let require ~suite rows invariants =
+  let holds (metric, value, _) =
+    List.for_all (fun r -> r.metric <> metric || r.value = value) rows
+  in
+  match List.filter (fun i -> not (holds i)) invariants with
+  | [] -> ()
+  | violated ->
+    fail "BENCH_%s.json: violated: %s" suite
+      (String.concat "; " (List.map (fun (_, _, what) -> what) violated))

@@ -9,6 +9,14 @@ open Secmed_core
 (* Benchmark security parameters (reduced moduli; see DESIGN.md §5). *)
 let bench_params = { Env.group_bits = 256; paillier_bits = 512 }
 
+(* The params block of the BENCH_<suite>.json records measured under
+   them. *)
+let record_params =
+  [
+    ("group_bits", Secmed_obs.Json.Int bench_params.Env.group_bits);
+    ("paillier_bits", Secmed_obs.Json.Int bench_params.Env.paillier_bits);
+  ]
+
 let reference_spec =
   {
     Workload.default with

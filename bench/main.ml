@@ -75,21 +75,12 @@ let experiments : (string * string * (unit -> unit) Term.t) list =
      Term.(const (fun () () -> Ablations.das_settings ()) $ const ()));
     ("micro", "Bechamel microbenchmarks of the crypto primitives",
      Term.(const (fun () () -> Ablations.micro ()) $ const ()));
-    ("json", "Write BENCH_modexp.json and BENCH_protocols.json (full machine-readable record)",
-     Term.(const (fun sizes rounds () ->
-               Ablations.modexp_json ~rounds ~sizes ();
-               Protocols_json.write ~sizes ())
-           $ sizes_arg $ rounds_arg));
-    ("json-protocols", "Write only BENCH_protocols.json: per-scheme/phase/party costs",
-     Term.(const (fun sizes () -> Protocols_json.write ~sizes ()) $ sizes_arg));
+    ("json", "Write BENCH_modexp.json: mod-exp, CRT, multi-exp, batch and Karatsuba rates",
+     Term.(const (fun rounds () -> Ablations.modexp_json ~rounds ()) $ rounds_arg));
     ("json-resilience",
      "Write BENCH_resilience.json: session recovery latency and degradation rates under \
       seeded fault plans",
      Term.(const (fun () () -> Resilience_json.write ()) $ const ()));
-    ("json-net",
-     "Write BENCH_net.json: in-process vs loopback-TCP cost per scheme, with socket-level \
-      byte accounting",
-     Term.(const (fun () () -> Net_json.write ()) $ const ()));
     ("json-serve",
      "Write BENCH_serve.json: loadgen throughput and latency percentiles per scheme at \
       increasing session concurrency, clean vs chaos",

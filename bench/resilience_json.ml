@@ -2,13 +2,13 @@
    layer under seeded fault plans — per scenario, how long the session
    took to serve (or give up on) the query, how many end-to-end attempts
    it burned, whether it degraded to a fallback scheme, and how often the
-   per-party circuit breakers moved.  The schema is validated by
-   `secmed check-bench` (and by make check-resilience in CI). *)
+   per-party circuit breakers moved.  The case name carries the
+   scenario's scheme, outcome, the scheme it degraded from and the
+   schemes (or phases) that failed. *)
 
 open Secmed_mediation
 open Secmed_core
 module R = Resilience
-module Json = Secmed_obs.Json
 
 (* Tiny backoff keeps the suite CI-fast while still exercising the
    schedule; all fault plans are seeded, so runs are reproducible. *)
@@ -100,23 +100,31 @@ let breaker_transition_count session =
     (fun acc b -> acc + List.length (R.breaker_transitions b))
     0 (R.breakers session)
 
-let entry_json s ~outcome_kind ~degraded_from ~correct ~failures ~attempts ~seconds
-    ~transitions =
-  Json.Obj
-    [
-      ("scenario", Json.Str s.name);
-      ("scheme", Json.Str (Protocol.scheme_name s.scheme));
-      ("outcome", Json.Str outcome_kind);
-      ( "degraded_from",
-        match degraded_from with None -> Json.Null | Some d -> Json.Str d );
-      ("correct", match correct with None -> Json.Null | Some b -> Json.Bool b);
-      ("attempts", Json.Int attempts);
-      ("seconds", Json.Float seconds);
-      ( "deadline_budget",
-        match s.deadline with None -> Json.Null | Some d -> Json.Float d );
-      ("breaker_transitions", Json.Int transitions);
-      ("schemes_failed", Json.List (List.map (fun n -> Json.Str n) failures));
-    ]
+type measured = {
+  outcome_kind : string;
+  degraded_from : string option;
+  correct : bool option;
+  failures : string list;
+  attempts : int;
+  seconds : float;
+  transitions : int;
+}
+
+let entry_rows s m =
+  let case =
+    String.concat " "
+      ([ s.name; "scheme=" ^ Protocol.scheme_name s.scheme; "outcome=" ^ m.outcome_kind ]
+      @ (match m.degraded_from with Some d -> [ "degraded_from=" ^ d ] | None -> [])
+      @ match m.failures with [] -> [] | fs -> [ "failed=" ^ String.concat "," fs ])
+  in
+  let flag b = if b then 1. else 0. in
+  Bench_util.rows case
+    ([ ("attempts", "count", float_of_int m.attempts);
+       ("seconds", "s", m.seconds);
+       ("breaker_transitions", "count", float_of_int m.transitions);
+       ("schemes_failed", "count", float_of_int (List.length m.failures)) ]
+    @ (match s.deadline with Some d -> [ ("deadline_budget", "s", d) ] | None -> [])
+    @ match m.correct with Some b -> [ ("correct", "0/1", flag b) ] | None -> [])
 
 let run_scenario env client query s =
   let session = R.session ~policy:(bench_policy ?deadline:s.deadline ()) () in
@@ -126,19 +134,17 @@ let run_scenario env client query s =
     measure_session (fun () ->
         Protocol.run_session ?fault:plan ~session ~chain s.scheme env client ~query)
   in
-  let transitions = breaker_transition_count session in
-  let outcome_kind, degraded_from, correct, failures =
-    match result with
-    | Protocol.Served o ->
-      ( (if o.Outcome.degraded_from = None then "served" else "degraded"),
-        o.Outcome.degraded_from,
-        Some (Outcome.correct o),
-        [] )
-    | Protocol.Unserved tried ->
-      ("failed", None, None, List.map (fun (scheme, _) -> scheme) tried)
+  let m =
+    { outcome_kind = "failed"; degraded_from = None; correct = None; failures = [];
+      attempts; seconds; transitions = breaker_transition_count session }
   in
-  entry_json s ~outcome_kind ~degraded_from ~correct ~failures ~attempts ~seconds
-    ~transitions
+  match result with
+  | Protocol.Served o ->
+    { m with
+      outcome_kind = (if o.Outcome.degraded_from = None then "served" else "degraded");
+      degraded_from = o.Outcome.degraded_from;
+      correct = Some (Outcome.correct o) }
+  | Protocol.Unserved tried -> { m with failures = List.map (fun (scheme, _) -> scheme) tried }
 
 (* A long-lived session: the same byzantine source across successive
    queries trips its breaker, and the next query is short-circuited
@@ -165,36 +171,21 @@ let breaker_scenario env client query =
         (* ... so the third (clean!) query is refused up front. *)
         Protocol.run_session ~session ~chain:[] s.scheme env client ~query)
   in
-  let failures =
+  let outcome_kind, failures =
     match result with
-    | Protocol.Served _ -> []
-    | Protocol.Unserved tried -> List.map (fun (_, f) -> f.Protocol.phase) tried
+    | Protocol.Served _ -> ("served", [])
+    | Protocol.Unserved tried ->
+      ("short-circuited", List.map (fun (_, f) -> f.Protocol.phase) tried)
   in
-  entry_json s
-    ~outcome_kind:(match result with Protocol.Served _ -> "served" | _ -> "short-circuited")
-    ~degraded_from:None ~correct:None ~failures ~attempts ~seconds
-    ~transitions:(breaker_transition_count session)
+  ( s,
+    { outcome_kind; degraded_from = None; correct = None; failures; attempts; seconds;
+      transitions = breaker_transition_count session } )
 
-let write ?(path = "BENCH_resilience.json") () =
+let write () =
   let env, client, query = Workload.scenario ~params:Experiments.bench_params small_spec in
-  let entries =
-    List.map (run_scenario env client query) scenarios
+  let measured =
+    List.map (fun s -> (s, run_scenario env client query s)) scenarios
     @ [ breaker_scenario env client query ]
   in
-  let json =
-    Json.Obj
-      [
-        ( "params",
-          Json.Obj
-            [
-              ("group_bits", Json.Int Experiments.bench_params.Env.group_bits);
-              ("paillier_bits", Json.Int Experiments.bench_params.Env.paillier_bits);
-            ] );
-        ("scenarios", Json.List entries);
-      ]
-  in
-  let contents = Json.to_string_pretty json ^ "\n" in
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc;
-  Printf.printf "wrote %s (%d bytes)\n" path (String.length contents)
+  Bench_util.write_record ~suite:"resilience" ~params:Experiments.record_params
+    (List.concat_map (fun (s, m) -> entry_rows s m) measured)

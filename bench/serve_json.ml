@@ -2,16 +2,15 @@
    deterministic {!Secmed_net.Loadgen} fleet against a forked loopback
    cluster at 1/8/64/256 concurrent sessions (--smoke: 1/2/4/8), each
    level measured clean and under chaos (a times-bounded corrupt proxy
-   on source 1's link plus a retry budget).  Each entry records
+   on source 1's link plus a retry budget).  Each level records
    throughput, outcome counts (the typed [Refused] column is the
    mediator's admission backpressure), and latency percentiles overall
-   and per scheme.  The schema is validated by `secmed check-bench`
-   (and by make check-serve in CI). *)
+   and per scheme; a failover soak and the cost of tracing ride along.
+   The soak must record no invariant violations. *)
 
 open Secmed_mediation
 open Secmed_core
 open Secmed_net
-module Json = Secmed_obs.Json
 module Metrics = Secmed_obs.Metrics
 
 let small_spec =
@@ -56,40 +55,37 @@ let bench_policy =
 
 let ms h q = Metrics.quantile h q *. 1000.
 
-let scheme_entry elapsed (scheme, h) =
-  let sessions = Metrics.histogram_count h in
-  Json.Obj
+let level_rows ~case ~sessions_per_worker report =
+  let count k = float_of_int (Loadgen.count k report) in
+  let elapsed = report.Loadgen.elapsed in
+  Bench_util.rows case
     [
-      ("scheme", Json.Str scheme);
-      ("sessions", Json.Int sessions);
-      ("qps", Json.Float (if elapsed <= 0. then 0. else float_of_int sessions /. elapsed));
-      ("p50_ms", Json.Float (ms h 0.5));
-      ("p95_ms", Json.Float (ms h 0.95));
-      ("p99_ms", Json.Float (ms h 0.99));
+      ("sessions_per_worker", "count", float_of_int sessions_per_worker);
+      ("sessions", "count", float_of_int (List.length report.Loadgen.records));
+      ("seconds", "s", elapsed);
+      ("qps", "1/s", Loadgen.qps report);
+      ("served", "count", count Loadgen.Served);
+      ("degraded", "count", count Loadgen.Degraded);
+      ("unserved", "count", count Loadgen.Unserved);
+      ("refused", "count", count Loadgen.Refused);
+      ("failed", "count", count Loadgen.Failed);
+      ("p50_ms", "ms", ms report.Loadgen.latency 0.5);
+      ("p95_ms", "ms", ms report.Loadgen.latency 0.95);
+      ("p99_ms", "ms", ms report.Loadgen.latency 0.99);
     ]
-
-let level_entry ~mode ~concurrency ~sessions_per_worker report =
-  let count k = Loadgen.count k report in
-  Json.Obj
-    [
-      ("mode", Json.Str mode);
-      ("concurrency", Json.Int concurrency);
-      ("sessions_per_worker", Json.Int sessions_per_worker);
-      ("sessions", Json.Int (List.length report.Loadgen.records));
-      ("seconds", Json.Float report.Loadgen.elapsed);
-      ("qps", Json.Float (Loadgen.qps report));
-      ("served", Json.Int (count Loadgen.Served));
-      ("degraded", Json.Int (count Loadgen.Degraded));
-      ("unserved", Json.Int (count Loadgen.Unserved));
-      ("refused", Json.Int (count Loadgen.Refused));
-      ("failed", Json.Int (count Loadgen.Failed));
-      ("p50_ms", Json.Float (ms report.Loadgen.latency 0.5));
-      ("p95_ms", Json.Float (ms report.Loadgen.latency 0.95));
-      ("p99_ms", Json.Float (ms report.Loadgen.latency 0.99));
-      ( "schemes",
-        Json.List (List.map (scheme_entry report.Loadgen.elapsed) report.Loadgen.per_scheme)
-      );
-    ]
+  @ List.concat_map
+      (fun (scheme, h) ->
+        let sessions = Metrics.histogram_count h in
+        Bench_util.rows
+          (Printf.sprintf "%s scheme=%s" case scheme)
+          [
+            ("sessions", "count", float_of_int sessions);
+            ("qps", "1/s", if elapsed <= 0. then 0. else float_of_int sessions /. elapsed);
+            ("p50_ms", "ms", ms h 0.5);
+            ("p95_ms", "ms", ms h 0.95);
+            ("p99_ms", "ms", ms h 0.99);
+          ])
+      report.Loadgen.per_scheme
 
 let run_level ?(trace = false) ~mode ~concurrency ~sessions_per_worker () =
   let chaos, fault_spec =
@@ -124,35 +120,32 @@ let run_level ?(trace = false) ~mode ~concurrency ~sessions_per_worker () =
   in
   let report = Loadgen.run config (Loopback.target c) in
   Printf.printf "  %-5s c=%-3d %s%!" mode concurrency (Loadgen.render report);
-  level_entry ~mode ~concurrency ~sessions_per_worker report
+  report
 
 (* The cost of observing: the same clean closed-loop level twice, spans
    off vs spans on (collectors in every process, batches shipped and
    forwarded).  Separate clusters so the off run carries no residue. *)
 let run_tracing_overhead ~concurrency ~sessions_per_worker =
   Printf.printf "  tracing overhead at c=%d\n%!" concurrency;
-  let qps_of entry =
-    match Json.member "qps" entry with
-    | Some (Json.Float q) -> q
-    | Some (Json.Int q) -> float_of_int q
-    | _ -> 0.
+  let level trace =
+    let case =
+      Printf.sprintf "tracing=%s clean concurrency=%d" (if trace then "on" else "off")
+        concurrency
+    in
+    let report = run_level ~trace ~mode:"clean" ~concurrency ~sessions_per_worker () in
+    (Loadgen.qps report, level_rows ~case ~sessions_per_worker report)
   in
-  let off = run_level ~mode:"clean" ~concurrency ~sessions_per_worker () in
-  let on = run_level ~trace:true ~mode:"clean" ~concurrency ~sessions_per_worker () in
-  let qps_off = qps_of off and qps_on = qps_of on in
-  let overhead_pct =
-    if qps_on <= 0. then 0. else 100. *. ((qps_off /. qps_on) -. 1.)
-  in
-  Json.Obj
+  let qps_off, off = level false in
+  let qps_on, on = level true in
+  Bench_util.rows
+    (Printf.sprintf "tracing_overhead concurrency=%d" concurrency)
     [
-      ("concurrency", Json.Int concurrency);
-      ("sessions_per_worker", Json.Int sessions_per_worker);
-      ("qps_off", Json.Float qps_off);
-      ("qps_on", Json.Float qps_on);
-      ("overhead_pct", Json.Float overhead_pct);
-      ("tracing_off", off);
-      ("tracing_on", on);
+      ("sessions_per_worker", "count", float_of_int sessions_per_worker);
+      ("qps_off", "1/s", qps_off);
+      ("qps_on", "1/s", qps_on);
+      ("overhead_pct", "%", if qps_on <= 0. then 0. else 100. *. ((qps_off /. qps_on) -. 1.));
     ]
+  @ off @ on
 
 (* The failover row: a seeded chaos soak (process SIGKILLs + a mediator
    drain-restart under load, every invariant checked) distilled into
@@ -180,43 +173,43 @@ let run_failover ~smoke =
     (cfg.workers * cfg.sessions_per_worker);
   let report = Soak.run cfg in
   Printf.printf "%s%!" (Soak.render report);
-  if not (Soak.ok report) then failwith "serve_json: failover soak violated invariants";
-  Soak.summary_json report
+  Bench_util.rows "failover"
+    [
+      ("availability_pct", "%", report.Soak.sk_availability_pct);
+      ("kill_window_p99_ms", "ms", report.Soak.sk_kill_window_p99_ms);
+      ("failover_latency_s", "s", report.Soak.sk_failover_latency_s);
+      ("kills", "count", float_of_int (List.length report.Soak.sk_kills));
+      ("drains", "count", float_of_int (List.length report.Soak.sk_drain_exits));
+      ("sessions", "count", float_of_int (List.length report.Soak.sk_load.Loadgen.records));
+      ("failed", "count", float_of_int (Loadgen.count Loadgen.Failed report.Soak.sk_load));
+      ("transitions", "count", float_of_int (List.length report.Soak.sk_transitions));
+      ("violations", "count", float_of_int (List.length report.Soak.sk_violations));
+    ]
 
-let write ?(smoke = false) ?(path = "BENCH_serve.json") () =
+let write ?(smoke = false) () =
   let levels = if smoke then [ 1; 2; 4; 8 ] else [ 1; 8; 64; 256 ] in
   let sessions_per_worker = 2 in
   Printf.printf "json-serve: loadgen sweep at concurrency %s\n%!"
     (String.concat "/" (List.map string_of_int levels));
   let failover = run_failover ~smoke in
-  let entries =
+  let sweep =
     List.concat_map
       (fun concurrency ->
-        List.map
-          (fun mode -> run_level ~mode ~concurrency ~sessions_per_worker ())
+        List.concat_map
+          (fun mode ->
+            let report = run_level ~mode ~concurrency ~sessions_per_worker () in
+            level_rows
+              ~case:(Printf.sprintf "%s concurrency=%d" mode concurrency)
+              ~sessions_per_worker report)
           [ "clean"; "chaos" ])
       levels
   in
   let overhead =
     run_tracing_overhead ~concurrency:(if smoke then 8 else 64) ~sessions_per_worker
   in
-  let json =
-    Json.Obj
-      [
-        ( "params",
-          Json.Obj
-            [
-              ("group_bits", Json.Int Experiments.bench_params.Env.group_bits);
-              ("paillier_bits", Json.Int Experiments.bench_params.Env.paillier_bits);
-              ("smoke", Json.Bool smoke);
-            ] );
-        ("serve", Json.List entries);
-        ("failover", failover);
-        ("tracing_overhead", overhead);
-      ]
-  in
-  let contents = Json.to_string_pretty json ^ "\n" in
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc;
-  Printf.printf "wrote %s (%d bytes)\n" path (String.length contents)
+  let rows = sweep @ failover @ overhead in
+  Bench_util.write_record ~suite:"serve"
+    ~params:(Experiments.record_params @ [ ("smoke", Secmed_obs.Json.Bool smoke) ])
+    rows;
+  Bench_util.require ~suite:"serve" rows
+    [ ("violations", 0., "the failover soak recorded invariant violations") ]

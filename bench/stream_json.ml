@@ -1,29 +1,28 @@
 (* BENCH_stream.json: the data-axis scaling story (DESIGN.md §16).
-   Three sections:
+   Three kinds of case:
 
-   - "stream": raw chunked transfer through the credit-flow-controlled
+   - "transfer": raw chunked transfer through the credit-flow-controlled
      send_rows/recv_rows pair over real socketpairs, swept across row
      counts (and a sharded k=4 run at the top scale).  The point of the
      sweep is the high-water column: the receiver's merge window must
      stay bounded by one chunk per shard while the relation grows by
      1,000x — memory flat in rows, measured, not asserted.
-   - "protocol_stream": das/commutative/pm served by a real forked
-     cluster at growing per-source row counts; records the client-side
-     stream high-water mark next to the transcript volume so the same
-     flatness is visible end to end.
+   - "protocol": das/commutative/pm served by a real forked cluster at
+     growing per-source row counts; records the client-side stream
+     high-water mark next to the transcript volume so the same flatness
+     is visible end to end.
    - "io_alloc": allocation per received frame on the reused
      reserve/commit receive path against the naive
-     fresh-buffer-per-read baseline it replaced (Gc.minor_words,
-     before/after).
+     fresh-buffer-per-read baseline it replaced.
 
-   Schema is validated by `secmed check-bench` and exercised by
-   `make check-stream` in CI. *)
+   The run fails unless every transfer stayed within its merge-window
+   bound and drained its chunk backlog to 0, and the reused receive
+   path allocated less than the naive one. *)
 
 open Secmed_mediation
 open Secmed_core
 open Secmed_net
 module Obs = Secmed_obs
-module Json = Secmed_obs.Json
 
 let timed f =
   let t0 = Obs.Clock.now_ns () in
@@ -47,7 +46,7 @@ let make_leg () =
       ~send:(Endpoint.Mux.send m)
       ~next:(fun ~timeout -> Endpoint.Mux.next m ~session:7 ~timeout)
   in
-  ((a, b), route ma, route mb)
+  ((ma, mb), route ma, route mb)
 
 let transport_for ~role ~shard ~counterpart route =
   Endpoint.transport ~role ~session:7 ~epoch:(fun () -> 1) ~io_timeout:30.
@@ -59,15 +58,13 @@ let row_bytes = 256
 let rows_fixture n =
   List.init n (fun i -> (i, String.init row_bytes (fun j -> Char.chr ((i + j) mod 256))))
 
-let stream_of tr = Option.get tr.Link.rows
-
 let peak name = Obs.Hwm.peak (Obs.Hwm.region name)
 
 let transfer ~shards:k ~rows:n =
   Obs.Hwm.reset ();
   let legs = List.init k (fun _ -> make_leg ()) in
-  let conns = List.concat_map (fun ((a, b), _, _) -> [ a; b ]) legs in
-  Fun.protect ~finally:(fun () -> List.iter Io.close conns) @@ fun () ->
+  let muxes = List.concat_map (fun ((ma, mb), _, _) -> [ ma; mb ]) legs in
+  Fun.protect ~finally:(fun () -> List.iter Endpoint.Mux.close muxes) @@ fun () ->
   let rows = rows_fixture n in
   let size = Stream.total_bytes rows in
   let senders =
@@ -79,7 +76,7 @@ let transfer ~shards:k ~rows:n =
         in
         Thread.create
           (fun () ->
-            (stream_of tr).Link.send_rows ~phase:"bench" ~seq:0
+            tr.Link.rows.Link.send_rows ~phase:"bench" ~seq:0
               ~sender:(Transcript.Source 1) ~receiver:Transcript.Mediator ~label:"B"
               ~size rows)
           ())
@@ -102,38 +99,35 @@ let transfer ~shards:k ~rows:n =
   in
   let (), seconds =
     timed (fun () ->
-        (stream_of receiver).Link.recv_rows ~phase:"bench" ~seq:0
+        receiver.Link.rows.Link.recv_rows ~phase:"bench" ~seq:0
           ~sender:(Transcript.Source 1) ~receiver:Transcript.Mediator ~label:"B" ~size
           ~expect:rows)
   in
   List.iter Thread.join senders;
   let pending = peak "stream.pending" in
-  Json.Obj
+  (* One in-flight chunk per shard plus one max-sized row: the invariant
+     the whole memory claim rests on. *)
+  let bound = k * (Stream.default_chunk_bytes + row_bytes) in
+  Bench_util.rows
+    (Printf.sprintf "transfer shards=%d rows=%d" k n)
     [
-      ("rows", Json.Int n);
-      ("row_bytes", Json.Int row_bytes);
-      ("total_bytes", Json.Int size);
-      ("shards", Json.Int k);
-      ("seconds", Json.Float seconds);
-      ("rows_per_s", Json.Float (float_of_int n /. seconds));
-      ("hwm_pending_peak", Json.Int pending);
-      ( "pending_bound",
-        (* One in-flight chunk per shard plus one max-sized row: the
-           invariant the whole memory claim rests on. *)
-        Json.Int (k * (Stream.default_chunk_bytes + row_bytes)) );
-      ( "bounded",
-        Json.Bool (pending > 0 && pending <= k * (Stream.default_chunk_bytes + row_bytes))
-      );
-      ("hwm_wire_peak", Json.Int (peak "wire.stream"));
-      ("hwm_send_peak", Json.Int (peak "io.send"));
-      ("backlog_after", Json.Int (Endpoint.stream_backlog ()));
+      ("row_bytes", "B", float_of_int row_bytes);
+      ("total_bytes", "B", float_of_int size);
+      ("seconds", "s", seconds);
+      ("rows_per_s", "1/s", float_of_int n /. seconds);
+      ("hwm_pending_peak", "B", float_of_int pending);
+      ("pending_bound", "B", float_of_int bound);
+      ("bounded", "0/1", if pending > 0 && pending <= bound then 1. else 0.);
+      ("hwm_wire_peak", "B", float_of_int (peak "wire.stream"));
+      ("hwm_send_peak", "B", float_of_int (peak "io.send"));
+      ("backlog_after", "count", float_of_int (Endpoint.stream_backlog ()));
     ]
 
 let stream_section ~smoke =
   let scales = if smoke then [ 100; 1_000; 10_000 ] else [ 100; 1_000; 10_000; 100_000 ] in
   let top = List.fold_left max 0 scales in
-  List.map (fun n -> transfer ~shards:1 ~rows:n) scales
-  @ [ transfer ~shards:4 ~rows:top ]
+  List.concat_map (fun n -> transfer ~shards:1 ~rows:n) scales
+  @ transfer ~shards:4 ~rows:top
 
 (* ------------------------------------------------------------------ *)
 (* Section "protocol_stream": the same flatness, end to end. *)
@@ -161,18 +155,17 @@ let protocol_entry c ~rows name =
     | Protocol.Unserved _ -> failwith (name ^ ": unserved over loopback")
   in
   let tr = outcome.Outcome.transcript in
-  Json.Obj
+  Bench_util.rows
+    (Printf.sprintf "protocol scheme=%s rows_per_source=%d" name rows)
     [
-      ("scheme", Json.Str name);
-      ("rows_per_source", Json.Int rows);
-      ("seconds", Json.Float seconds);
-      ("messages", Json.Int (Transcript.message_count tr));
-      ("bytes", Json.Int (Transcript.total_bytes tr));
-      ("epochs", Json.Int response.Peer.epochs);
+      ("seconds", "s", seconds);
+      ("messages", "count", float_of_int (Transcript.message_count tr));
+      ("bytes", "B", float_of_int (Transcript.total_bytes tr));
+      ("epochs", "count", float_of_int response.Peer.epochs);
       (* Client-side merge window: the bench process is the client, so
          this is the client replica's own stream high-water mark. *)
-      ("hwm_pending_peak", Json.Int (peak "stream.pending"));
-      ("hwm_wire_peak", Json.Int (peak "wire.stream"));
+      ("hwm_pending_peak", "B", float_of_int (peak "stream.pending"));
+      ("hwm_wire_peak", "B", float_of_int (peak "wire.stream"));
     ]
 
 let protocol_section ~smoke =
@@ -180,7 +173,7 @@ let protocol_section ~smoke =
   List.concat_map
     (fun rows ->
       Loopback.with_cluster ~params:Experiments.bench_params ~spec:(spec_for rows)
-      @@ fun c -> List.map (protocol_entry c ~rows) protocol_schemes)
+      @@ fun c -> List.concat_map (protocol_entry c ~rows) protocol_schemes)
     scales
 
 (* ------------------------------------------------------------------ *)
@@ -258,39 +251,26 @@ let io_alloc_section ~smoke =
   let frames = if smoke then 512 else 4096 in
   let reused = alloc_run ~frames reused_recv in
   let naive = alloc_run ~frames naive_recv in
-  Json.Obj
+  Bench_util.rows "io_alloc"
     [
-      ("frames", Json.Int frames);
-      ("frame_bytes", Json.Int frame_bytes);
-      ("alloc_bytes_per_frame_reused", Json.Float reused);
-      ("alloc_bytes_per_frame_naive", Json.Float naive);
-      ("naive_over_reused", Json.Float (naive /. Float.max reused 1.));
-      ("reused_cheaper", Json.Bool (reused < naive));
+      ("frames", "count", float_of_int frames);
+      ("frame_bytes", "B", float_of_int frame_bytes);
+      ("alloc_bytes_per_frame_reused", "B", reused);
+      ("alloc_bytes_per_frame_naive", "B", naive);
+      ("naive_over_reused", "x", naive /. Float.max reused 1.);
+      ("reused_cheaper", "0/1", if reused < naive then 1. else 0.);
     ]
 
 (* ------------------------------------------------------------------ *)
 
-let write ?(path = "BENCH_stream.json") ?(smoke = false) () =
-  let stream = stream_section ~smoke in
-  let protocol = protocol_section ~smoke in
-  let io_alloc = io_alloc_section ~smoke in
-  let json =
-    Json.Obj
-      [
-        ( "params",
-          Json.Obj
-            [
-              ("group_bits", Json.Int Experiments.bench_params.Env.group_bits);
-              ("paillier_bits", Json.Int Experiments.bench_params.Env.paillier_bits);
-              ("smoke", Json.Bool smoke);
-            ] );
-        ("stream", Json.List stream);
-        ("protocol_stream", Json.List protocol);
-        ("io_alloc", io_alloc);
-      ]
-  in
-  let contents = Json.to_string_pretty json ^ "\n" in
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc;
-  Printf.printf "wrote %s (%d bytes)\n" path (String.length contents)
+let write ?(smoke = false) () =
+  let rows = stream_section ~smoke @ protocol_section ~smoke @ io_alloc_section ~smoke in
+  Bench_util.write_record ~suite:"stream"
+    ~params:(Experiments.record_params @ [ ("smoke", Secmed_obs.Json.Bool smoke) ])
+    rows;
+  Bench_util.require ~suite:"stream" rows
+    [
+      ("bounded", 1., "a transfer's merge window exceeded its per-shard bound");
+      ("backlog_after", 0., "chunk backlog not drained to 0");
+      ("reused_cheaper", 1., "the reused receive path allocated no less than the naive one");
+    ]

@@ -38,7 +38,7 @@ type transport = {
     label:string ->
     size:int ->
     string;
-  rows : rows_transport option;
+  rows : rows_transport;
 }
 
 type endpoint = Inproc | Remote of transport
@@ -105,13 +105,13 @@ let deliver t ~phase ~sender ~receiver ~label ?(guard = true) ?size payload =
    declared size as [deliver] of the concatenated rows — the scalar and
    streamed encodings of a message are interchangeable at every layer
    above the transport.  The streamed path engages only on a fault-free
-   remote link whose transport implements it; with a fault plan (which
+   remote link; with a fault plan (which
    every replica agrees on, since the spec rides in the session
    announcement) the rows collapse to one payload so the fault layer's
    rule matching and padding semantics are untouched. *)
 let deliver_rows t ~phase ~sender ~receiver ~label ?(guard = true) ~size rows =
   match (t.endpoint, t.fault) with
-  | Remote ({ rows = Some rt; _ } as tr), None ->
+  | Remote tr, None ->
     let indexed = List.mapi (fun i b -> (i, b)) (rows ()) in
     let total = List.fold_left (fun acc (_, b) -> acc + String.length b) 0 indexed in
     let indexed =
@@ -124,9 +124,9 @@ let deliver_rows t ~phase ~sender ~receiver ~label ?(guard = true) ~size rows =
     let seq = t.seq in
     t.seq <- seq + 1;
     if Transcript.party_equal tr.role sender then
-      rt.send_rows ~phase ~seq ~sender ~receiver ~label ~size indexed
+      tr.rows.send_rows ~phase ~seq ~sender ~receiver ~label ~size indexed
     else if Transcript.party_equal tr.role receiver then
-      rt.recv_rows ~phase ~seq ~sender ~receiver ~label ~size ~expect:indexed
+      tr.rows.recv_rows ~phase ~seq ~sender ~receiver ~label ~size ~expect:indexed
   | _ ->
     deliver t ~phase ~sender ~receiver ~label ~guard ~size (fun () ->
         String.concat "" (rows ()))

@@ -82,9 +82,7 @@ type transport = {
       (** Must return the received payload bytes; raises on transport
           failure (timeout, closed stream), ideally as a typed
           {!Fault.Fault_detected}. *)
-  rows : rows_transport option;
-      (** [None] on transports predating chunked delivery;
-          {!deliver_rows} then falls back to the scalar path. *)
+  rows : rows_transport;  (** the streamed path of {!deliver_rows} *)
 }
 
 type endpoint = Inproc | Remote of transport
@@ -143,10 +141,9 @@ val deliver_rows :
 (** Record one row-wise protocol message.  Semantically identical to
     {!deliver} of the concatenated rows (same transcript entry, same
     sequence slot, same padding to [size]) — but on a fault-free remote
-    link with a rows-capable transport the message travels as bounded
-    chunks of (index, bytes) entries, incrementally verified at the
-    receiver, so neither side materialises the whole relation.  On any
-    other link (in-process, fault plan active, legacy transport) the
-    rows collapse to one payload and the scalar path runs, preserving
+    link the message travels as bounded chunks of (index, bytes)
+    entries, incrementally verified at the receiver, so neither side
+    materialises the whole relation.  In-process or with a fault plan
+    active the rows collapse to one payload and the scalar path runs, preserving
     fault-injection semantics exactly; since a fault plan is part of the
     shared session announcement, every replica takes the same branch. *)

@@ -18,6 +18,7 @@ module Mux = struct
     control : (Frame.t * int) Queue.t;
     mutable dropped : int;  (* frames discarded because their session was closed *)
     mutable dead : string option;
+    mutable reader : Thread.t option;  (* the receive thread, joined by [close] *)
   }
 
   (* Parked frames are mediator memory a fast peer controls, so they are
@@ -82,7 +83,7 @@ module Mux = struct
       { conn; mu = Mutex.create (); subs = Hashtbl.create 8; closed = Hashtbl.create 8;
         closed_order = Queue.create (); max_tombstones = max max_tombstones 1;
         max_queue = max max_queue 1; over = Hashtbl.create 4;
-        control = Queue.create (); dropped = 0; dead = None }
+        control = Queue.create (); dropped = 0; dead = None; reader = None }
     in
     let rec recv_loop () =
       match Frame.decode (Io.recv_frame conn) with
@@ -92,8 +93,17 @@ module Mux = struct
       | exception Io.Transport_error msg -> t.dead <- Some msg
       | exception Wire.Malformed msg -> t.dead <- Some ("malformed frame: " ^ msg)
     in
-    ignore (Thread.create recv_loop () : Thread.t);
+    t.reader <- Some (Thread.create recv_loop ());
     t
+
+  (* Closing under a live reader disposes the reassembly buffer beneath
+     it and frees the descriptor number, which the next socket may reuse
+     while the stale reader still reads it.  So: shutdown (wakes the
+     blocked read), join the reader, and only then close. *)
+  let close t =
+    Io.shutdown t.conn;
+    Option.iter Thread.join t.reader;
+    Io.close t.conn
 
   let conn t = t.conn
   let alive t = Mutex.protect t.mu (fun () -> t.dead = None)
@@ -250,6 +260,23 @@ let trace_frame dir ~phase ~party ~label ~size =
           ("bytes", Obs.Json.Int size);
         ]
 
+(* The frames every protocol read skips while awaiting delivery [seq]
+   of attempt [here]: Msg and Msg_chunk replays (chaos Duplicate) or
+   leftovers of an aborted attempt — the filter is what makes retries
+   safe — plus Credit flow-control residue of an earlier streamed send,
+   Report and Span_batch traffic (span frames are observability, never
+   protocol; the mediator's batching route normally intercepts them
+   first), older Aborts, and Session_start announcements at or below
+   this epoch.  An Abort of the current attempt raises [Aborted].
+   Callers match their own accept case first. *)
+let skippable ~here ~seq = function
+  | Frame.Msg m -> m.epoch < here || (m.epoch = here && m.seq < seq)
+  | Frame.Msg_chunk m -> m.ck_epoch < here || (m.ck_epoch = here && m.ck_seq < seq)
+  | Frame.Credit _ | Frame.Report _ | Frame.Span_batch _ -> true
+  | Frame.Abort { epoch = e; failure; _ } -> if e >= here then raise (Aborted failure) else true
+  | Frame.Session_start { epoch = e; _ } -> e <= here
+  | _ -> false
+
 let transport ~role ~session ~epoch ~io_timeout ~route_of ?(shard = (0, 1))
     ?(after_io = fun ~phase:_ -> ()) () =
   let shard_index, shard_count = shard in
@@ -292,26 +319,11 @@ let transport ~role ~session ~epoch ~io_timeout ~route_of ?(shard = (0, 1))
               (Printf.sprintf "frame #%d: expected %s from %s, got %s from %s" seq label
                  (Transcript.party_name sender) m.label (Transcript.party_name m.sender))
           else m.payload
-        | Frame.Msg m when m.epoch < here || (m.epoch = here && m.seq < seq) ->
-          (* A replay (chaos Duplicate) or a leftover of an aborted
-             attempt: the filter is what makes retries safe. *)
-          go ()
+        | f when skippable ~here ~seq f -> go ()
         | Frame.Msg m ->
           Fault.fail ~phase ~party:receiver
             (Printf.sprintf "%s: frame gap: awaiting #%d of epoch %d, got #%d of epoch %d"
                label seq here m.seq m.epoch)
-        | Frame.Msg_chunk m when m.ck_epoch < here || (m.ck_epoch = here && m.ck_seq < seq) ->
-          go ()
-        | Frame.Credit _ ->
-          (* Flow-control residue of an earlier streamed send. *)
-          go ()
-        | Frame.Abort { epoch = e; failure; _ } when e >= here -> raise (Aborted failure)
-        | Frame.Abort _ | Frame.Report _ -> go ()
-        | Frame.Session_start { epoch = e; _ } when e <= here -> go ()
-        (* Span traffic is observability, never protocol: skippable
-           wherever it lands (the mediator's batching route normally
-           intercepts it first). *)
-        | Frame.Span_batch _ -> go ()
         | f ->
           Fault.fail ~phase ~party:receiver
             (Printf.sprintf "%s: unexpected %s frame mid-attempt" label (Frame.tag_name f))
@@ -350,13 +362,7 @@ let transport ~role ~session ~epoch ~io_timeout ~route_of ?(shard = (0, 1))
           credits := !credits + cr_n;
           outstanding := max 0 (!outstanding - cr_n);
           backlog_add (-cr_n)
-        | Frame.Credit _ -> ()
-        | Frame.Abort { epoch = e; failure; _ } when e >= here -> raise (Aborted failure)
-        | Frame.Abort _ | Frame.Report _ | Frame.Span_batch _ -> ()
-        | Frame.Session_start { epoch = e; _ } when e <= here -> ()
-        | Frame.Msg m when m.epoch < here || (m.epoch = here && m.seq < seq) -> ()
-        | Frame.Msg_chunk m when m.ck_epoch < here || (m.ck_epoch = here && m.ck_seq < seq) ->
-          ()
+        | f when skippable ~here ~seq f -> ()
         | f ->
           Fault.fail ~phase ~party:receiver
             (Printf.sprintf "%s: unexpected %s frame awaiting stream credit" label
@@ -462,19 +468,11 @@ let transport ~role ~session ~epoch ~io_timeout ~route_of ?(shard = (0, 1))
               Obs.Metrics.incr ~by:(List.length entries) stream_rows_in;
               pending.(si) <- entries
             end
-          | Frame.Msg_chunk m when m.ck_epoch < here || (m.ck_epoch = here && m.ck_seq < seq)
-            ->
-            go ()
+          | f when skippable ~here ~seq f -> go ()
           | Frame.Msg_chunk m ->
             Fault.fail ~phase ~party:receiver
               (Printf.sprintf "%s: frame gap: awaiting stream #%d of epoch %d, got #%d of epoch %d"
                  label seq here m.ck_seq m.ck_epoch)
-          | Frame.Msg m when m.epoch < here || (m.epoch = here && m.seq < seq) -> go ()
-          | Frame.Credit _ -> go ()
-          | Frame.Abort { epoch = e; failure; _ } when e >= here -> raise (Aborted failure)
-          | Frame.Abort _ | Frame.Report _ -> go ()
-          | Frame.Session_start { epoch = e; _ } when e <= here -> go ()
-          | Frame.Span_batch _ -> go ()
           | f ->
             Fault.fail ~phase ~party:receiver
               (Printf.sprintf "%s: unexpected %s frame mid-stream" label (Frame.tag_name f))
@@ -522,7 +520,7 @@ let transport ~role ~session ~epoch ~io_timeout ~route_of ?(shard = (0, 1))
       trace_frame "recv" ~phase ~party:sender ~label ~size;
       after_io ~phase
   in
-  { Link.role; send; recv; rows = Some { Link.send_rows; recv_rows } }
+  { Link.role; send; recv; rows = { Link.send_rows; recv_rows } }
 
 let run_replica ~role ~fault ~session ~epoch ~attempt ~scheme ~query ~io_timeout ?shard
     ~route env client =

@@ -28,7 +28,7 @@ module Mux : sig
 
   val create : ?max_tombstones:int -> ?max_queue:int -> Io.conn -> t
   (** Spawn the receive thread.  The connection must have no other
-      reader from this point on.  [max_tombstones] (default 1024) bounds
+      reader from this point on, and is released with {!close}.  [max_tombstones] (default 1024) bounds
       the closed-session tombstone set; the oldest tombstones are
       evicted FIFO so a long-lived pooled connection keeps O(1) state
       per retained session.  [max_queue] (default 1024) bounds each
@@ -37,6 +37,15 @@ module Mux : sig
       {!Io.Transport_error} — memory stays bounded and the consumer sees
       the same typed failure as a severed link.  Parked frame bytes are
       charged to the ["mux.parked"] {!Secmed_obs.Hwm} region. *)
+
+  val close : t -> unit
+  (** Release the connection: shut the socket down, join the receive
+      thread, then {!Io.close}.  The only safe way to release a
+      mux-owned connection — a bare [Io.close] under the live reader
+      lets it read whichever socket reuses the descriptor next.
+      Consumers blocked in {!next} fail with {!Io.Transport_error};
+      {!alive} is [false] afterwards.  Idempotent; must not be called
+      from the receive thread. *)
 
   val conn : t -> Io.conn
   val alive : t -> bool

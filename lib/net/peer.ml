@@ -180,7 +180,7 @@ let source ~id ~env ~client ~scenario ~listen_fd ?(shard = (0, 1)) ?(io_timeout 
           end;
           control ()
         | _ -> control ()
-        | exception Io.Transport_error _ -> Io.close conn
+        | exception Io.Transport_error _ -> Mux.close mux
       in
       control ()
     | Frame.Hello _ ->

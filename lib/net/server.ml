@@ -318,9 +318,7 @@ let ensure_slot t sl slot =
             Error msg)
       in
       let redial () =
-        (match slot.ss_mux with
-        | Some m -> Io.close (Mux.conn m)
-        | None -> ());
+        Option.iter Mux.close slot.ss_mux;
         slot.ss_mux <- None;
         let rec try_each last = function
           | [] -> Error (Option.value last ~default:"no replica reachable")
@@ -1397,12 +1395,11 @@ let teardown ~drain t =
           Mutex.protect slot.ss_mu (fun () ->
               match slot.ss_mux with
               | Some m ->
-                (* Shutdown first: close alone need not wake the mux's
-                   receive thread out of a blocked read, and sessions
-                   waiting on its replies would sit out the full I/O
-                   timeout. *)
-                Io.shutdown (Mux.conn m);
-                Io.close (Mux.conn m);
+                (* Mux.close shuts down first: close alone need not wake
+                   the receive thread out of a blocked read, and
+                   sessions waiting on its replies would sit out the
+                   full I/O timeout. *)
+                Mux.close m;
                 slot.ss_mux <- None
               | None -> ()))
         sl.sl_slots)

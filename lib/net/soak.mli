@@ -88,8 +88,7 @@ val run : ?progress:(string -> unit) -> config -> report
     are killed and reaped however this returns. *)
 
 val summary_json : report -> Secmed_obs.Json.t
-(** The metrics + invariants object embedded in BENCH_serve.json's
-    ["failover"] section. *)
+(** The metrics + invariants object closing the {!write_log} JSONL. *)
 
 val render : report -> string
 

@@ -181,7 +181,7 @@ let msg ~seq label =
 
 let test_mux_parks_frames_before_subscription () =
   let a, b = socket_pair () in
-  Fun.protect ~finally:(fun () -> Io.close a; Io.close b) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Io.close a) @@ fun () ->
   let send f = Io.send_frame a (Frame.encode f) in
   (* Burst: announcement plus the frames right behind it, all on the
      wire before the consumer even creates its handler. *)
@@ -191,6 +191,7 @@ let test_mux_parks_frames_before_subscription () =
   send (msg ~seq:0 "first");
   send (msg ~seq:1 "second");
   let mux = Endpoint.Mux.create b in
+  Fun.protect ~finally:(fun () -> Endpoint.Mux.close mux) @@ fun () ->
   (match Endpoint.Mux.next_control mux ~timeout:5. with
   | Frame.Session_start { session; _ } -> Alcotest.(check int) "announced" 1 session
   | f -> Alcotest.fail ("expected announcement, got " ^ Frame.tag_name f));
@@ -206,8 +207,8 @@ let test_mux_parks_frames_before_subscription () =
 
 let test_mux_drops_frames_of_closed_sessions () =
   let a, b = socket_pair () in
-  Fun.protect ~finally:(fun () -> Io.close a; Io.close b) @@ fun () ->
   let mux = Endpoint.Mux.create b in
+  Fun.protect ~finally:(fun () -> Endpoint.Mux.close mux; Io.close a) @@ fun () ->
   Endpoint.Mux.subscribe mux 1;
   Endpoint.Mux.unsubscribe mux 1;
   Io.send_frame a (Frame.encode (msg ~seq:0 "stale"));
@@ -230,8 +231,8 @@ let mux_sync a mux =
 
 let test_mux_tombstone_drops_counted () =
   let a, b = socket_pair () in
-  Fun.protect ~finally:(fun () -> Io.close a; Io.close b) @@ fun () ->
   let mux = Endpoint.Mux.create b in
+  Fun.protect ~finally:(fun () -> Endpoint.Mux.close mux; Io.close a) @@ fun () ->
   Endpoint.Mux.subscribe mux 1;
   Endpoint.Mux.unsubscribe mux 1;
   Alcotest.(check int) "one tombstone" 1 (Endpoint.Mux.tombstones mux);
@@ -244,8 +245,8 @@ let test_mux_tombstone_drops_counted () =
 
 let test_mux_tombstones_bounded () =
   let a, b = socket_pair () in
-  Fun.protect ~finally:(fun () -> Io.close a; Io.close b) @@ fun () ->
   let mux = Endpoint.Mux.create ~max_tombstones:4 b in
+  Fun.protect ~finally:(fun () -> Endpoint.Mux.close mux; Io.close a) @@ fun () ->
   for sid = 1 to 10 do
     Endpoint.Mux.subscribe mux sid;
     Endpoint.Mux.unsubscribe mux sid
@@ -269,8 +270,8 @@ let test_mux_tombstones_bounded () =
 
 let test_mux_subscribe_resurrects_tombstoned_id () =
   let a, b = socket_pair () in
-  Fun.protect ~finally:(fun () -> Io.close a; Io.close b) @@ fun () ->
   let mux = Endpoint.Mux.create b in
+  Fun.protect ~finally:(fun () -> Endpoint.Mux.close mux; Io.close a) @@ fun () ->
   Endpoint.Mux.subscribe mux 1;
   Endpoint.Mux.unsubscribe mux 1;
   (* The server reuses ids only with an epoch bump; the resubscribe must
@@ -294,8 +295,8 @@ let test_mux_concurrent_sessions_stress () =
   List.iter
     (fun round ->
       let a, b = socket_pair () in
-      Fun.protect ~finally:(fun () -> Io.close a; Io.close b) @@ fun () ->
       let mux = Endpoint.Mux.create b in
+      Fun.protect ~finally:(fun () -> Endpoint.Mux.close mux; Io.close a) @@ fun () ->
       (* Fresh session ids per round: a closed session's id is a
          tombstone, never reused. *)
       let sid k = (round * 100) + k + 1 in
@@ -358,6 +359,91 @@ let test_mux_concurrent_sessions_stress () =
             (List.rev received.(k) = expected))
         (List.init sessions Fun.id))
     [ 0; 1; 2 ]
+
+(* Connection churn: a thousand create -> exchange -> Mux.close cycles
+   while a second, long-lived pair streams a ping-pong concurrently.
+   Every frame must land on its own mux, a closed mux must report dead,
+   and every descriptor must come back: a receive thread outliving its
+   close would read whichever socket reuses its descriptor number. *)
+let test_mux_close_churn () =
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let fds_before = open_fds () in
+  let frame ~session label =
+    Frame.Msg
+      { session; epoch = 1; seq = 0; sender = Transcript.Mediator;
+        receiver = Transcript.Source 1; label; declared = 2; payload = "xy" }
+  in
+  let await mux ~session label =
+    match Endpoint.Mux.next mux ~session ~timeout:5. with
+    | Frame.Msg { label = got; _ } when String.equal got label -> ()
+    | Frame.Msg { label = got; _ } -> failwith (Printf.sprintf "expected %s, got %s" label got)
+    | f -> failwith (Printf.sprintf "expected %s, got %s" label (Frame.tag_name f))
+  in
+  let pair session =
+    let a, b = socket_pair () in
+    let ma = Endpoint.Mux.create a and mb = Endpoint.Mux.create b in
+    Endpoint.Mux.subscribe ma session;
+    Endpoint.Mux.subscribe mb session;
+    (ma, mb)
+  in
+  let failures = Atomic.make [] in
+  let guard f () =
+    try f () with e -> Atomic.set failures (Printexc.to_string e :: Atomic.get failures)
+  in
+  let sa, sb = pair 2 in
+  let stop = Atomic.make false and pongs = Atomic.make 0 in
+  let pinger =
+    Thread.create
+      (guard (fun () ->
+           let n = ref 0 in
+           while not (Atomic.get stop) do
+             Endpoint.Mux.send sa (frame ~session:2 (Printf.sprintf "ping-%d" !n));
+             await sa ~session:2 (Printf.sprintf "pong-%d" !n);
+             Atomic.incr pongs;
+             incr n
+           done;
+           Endpoint.Mux.send sa (frame ~session:2 "end")))
+      ()
+  in
+  let ponger =
+    Thread.create
+      (guard (fun () ->
+           let rec loop n =
+             match Endpoint.Mux.next sb ~session:2 ~timeout:5. with
+             | Frame.Msg { label = "end"; _ } -> ()
+             | Frame.Msg { label; _ } when String.equal label (Printf.sprintf "ping-%d" n) ->
+               Endpoint.Mux.send sb (frame ~session:2 (Printf.sprintf "pong-%d" n));
+               loop (n + 1)
+             | f -> failwith ("stream out of order at ping " ^ string_of_int n ^ ": "
+                              ^ Frame.tag_name f)
+           in
+           loop 0))
+      ()
+  in
+  let cycles = 1000 in
+  (try
+     for i = 1 to cycles do
+       let x, y = pair 1 in
+       Endpoint.Mux.send x (frame ~session:1 (Printf.sprintf "churn-%d" i));
+       await y ~session:1 (Printf.sprintf "churn-%d" i);
+       Endpoint.Mux.send y (frame ~session:1 (Printf.sprintf "churn-%d-ack" i));
+       await x ~session:1 (Printf.sprintf "churn-%d-ack" i);
+       Endpoint.Mux.close x;
+       Endpoint.Mux.close y;
+       if Endpoint.Mux.alive x || Endpoint.Mux.alive y then
+         failwith (Printf.sprintf "cycle %d: mux alive after close" i)
+     done
+   with e -> guard (fun () -> raise e) ());
+  Atomic.set stop true;
+  Thread.join pinger;
+  Thread.join ponger;
+  Endpoint.Mux.close sa;
+  Endpoint.Mux.close sb;
+  Alcotest.(check (list string)) "no misrouted or lost frames" [] (Atomic.get failures);
+  Alcotest.(check bool) "the concurrent stream made progress" true (Atomic.get pongs > 0);
+  Alcotest.(check bool) "closed muxes report dead" false
+    (Endpoint.Mux.alive sa || Endpoint.Mux.alive sb);
+  Alcotest.(check int) "every descriptor released" fds_before (open_fds ())
 
 (* ------------------------------------------------------------------ *)
 (* Scenario digests. *)
@@ -723,6 +809,8 @@ let () =
             test_mux_subscribe_resurrects_tombstoned_id;
           Alcotest.test_case "concurrent sessions never cross-deliver" `Quick
             test_mux_concurrent_sessions_stress;
+          Alcotest.test_case "close churn under a concurrent stream" `Quick
+            test_mux_close_churn;
         ] );
       ( "scenario",
         [ Alcotest.test_case "digest deterministic" `Quick test_scenario_digest_deterministic ] );

@@ -267,8 +267,8 @@ let test_mux_domain_parallel_consumers () =
   let fd_a, fd_b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let a = Io.of_fd ~peer:"producer" fd_a in
   let b = Io.of_fd ~peer:"consumer" fd_b in
-  Fun.protect ~finally:(fun () -> Io.close a; Io.close b) @@ fun () ->
   let mux = Endpoint.Mux.create b in
+  Fun.protect ~finally:(fun () -> Endpoint.Mux.close mux; Io.close a) @@ fun () ->
   let schedule =
     let all =
       Array.init (sessions * frames_per_session) (fun i ->

@@ -257,8 +257,8 @@ let mux_sync a mux =
 
 let test_mux_queue_overflow_poisons_session () =
   let a, b = socket_pair () in
-  Fun.protect ~finally:(fun () -> Io.close a; Io.close b) @@ fun () ->
   let mux = Endpoint.Mux.create ~max_queue:4 b in
+  Fun.protect ~finally:(fun () -> Endpoint.Mux.close mux; Io.close a) @@ fun () ->
   Endpoint.Mux.subscribe mux 1;
   for seq = 0 to 9 do
     Io.send_frame a (Frame.encode (msg ~seq))
@@ -273,17 +273,20 @@ let test_mux_queue_overflow_poisons_session () =
   | _ -> Alcotest.fail "an overflowed session must fail typed");
   (* Resubscribing (an epoch-bumped reuse) clears the poisoning; the
      frames parked before the overflow stay queued — in production the
-     transport's epoch filter discards them. *)
+     transport's epoch filter discards them.  They fill the queue to its
+     cap, so they are drained before the fresh frame is sent: a frame
+     racing in ahead of the first read would overflow it again. *)
   Endpoint.Mux.subscribe mux 1;
   Alcotest.(check bool) "resubscribe clears overflow" false (Endpoint.Mux.overflowed mux 1);
-  Io.send_frame a (Frame.encode (msg ~seq:99));
-  let rec next_fresh () =
+  for parked = 0 to 3 do
     match Endpoint.Mux.next mux ~session:1 ~timeout:5. with
-    | Frame.Msg { seq = 99; _ } -> ()
-    | Frame.Msg { seq; _ } when seq < 4 -> next_fresh () (* parked pre-overflow *)
-    | f -> Alcotest.fail ("expected the fresh frame, got " ^ Frame.tag_name f)
-  in
-  next_fresh ()
+    | Frame.Msg { seq; _ } when seq = parked -> ()
+    | f -> Alcotest.fail ("expected a parked pre-overflow frame, got " ^ Frame.tag_name f)
+  done;
+  Io.send_frame a (Frame.encode (msg ~seq:99));
+  match Endpoint.Mux.next mux ~session:1 ~timeout:5. with
+  | Frame.Msg { seq = 99; _ } -> ()
+  | f -> Alcotest.fail ("expected the fresh frame, got " ^ Frame.tag_name f)
 
 (* ------------------------------------------------------------------ *)
 (* send_rows/recv_rows end to end over sockets, with real credits. *)
@@ -300,7 +303,7 @@ let make_leg () =
       ~send:(Endpoint.Mux.send m)
       ~next:(fun ~timeout -> Endpoint.Mux.next m ~session:7 ~timeout)
   in
-  ((a, b), route ma, route mb)
+  ((ma, mb), route ma, route mb)
 
 let transport_for ~role ~shard ~counterpart route =
   Endpoint.transport ~role ~session:7 ~epoch:(fun () -> 1) ~io_timeout:10.
@@ -312,12 +315,12 @@ let rows_fixture n =
      chunks: the sender must block on and consume real Credit grants. *)
   List.init n (fun i -> (i, String.init 1024 (fun j -> Char.chr ((i + j) mod 256))))
 
-let stream_of tr = Option.get tr.Link.rows
+let stream_of tr = tr.Link.rows
 
 let test_send_recv_rows_roundtrip () =
   Obs.Hwm.reset ();
-  let (ca, cb), sender_route, receiver_route = make_leg () in
-  Fun.protect ~finally:(fun () -> Io.close ca; Io.close cb) @@ fun () ->
+  let (ma, mb), sender_route, receiver_route = make_leg () in
+  Fun.protect ~finally:(fun () -> Endpoint.Mux.close ma; Endpoint.Mux.close mb) @@ fun () ->
   let rows = rows_fixture 700 in
   let size = Stream.total_bytes rows in
   let sender =
@@ -354,8 +357,8 @@ let test_send_recv_rows_roundtrip () =
     (pending_peak > 0 && pending_peak <= Stream.default_chunk_bytes + 1024)
 
 let test_recv_rows_detects_mismatch () =
-  let (ca, cb), sender_route, receiver_route = make_leg () in
-  Fun.protect ~finally:(fun () -> Io.close ca; Io.close cb) @@ fun () ->
+  let (ma, mb), sender_route, receiver_route = make_leg () in
+  Fun.protect ~finally:(fun () -> Endpoint.Mux.close ma; Endpoint.Mux.close mb) @@ fun () ->
   let rows = rows_fixture 20 in
   let size = Stream.total_bytes rows in
   let tampered =
@@ -390,10 +393,10 @@ let test_recv_rows_detects_mismatch () =
 let test_sharded_merge_bit_identical () =
   Obs.Hwm.reset ();
   let k = 2 in
-  let (ca, cb), s0_route, r0_route = make_leg () in
-  let (da, db), s1_route, r1_route = make_leg () in
+  let (ma, mb), s0_route, r0_route = make_leg () in
+  let (na, nb), s1_route, r1_route = make_leg () in
   Fun.protect
-    ~finally:(fun () -> List.iter Io.close [ ca; cb; da; db ])
+    ~finally:(fun () -> List.iter Endpoint.Mux.close [ ma; mb; na; nb ])
   @@ fun () ->
   let rows = rows_fixture 301 in
   let size = Stream.total_bytes rows in
