@@ -1,6 +1,6 @@
 # Convenience entry points; everything below is plain dune.
 
-.PHONY: all check test check-fault check-obs check-obs-net check-resilience check-net check-serve check-soak check-stream check-crypto-perf bench bench-json clean
+.PHONY: all check test check-fault check-obs check-obs-net check-resilience check-net check-serve check-soak check-stream check-crypto-perf check-extensions bench bench-json clean
 
 all:
 	dune build
@@ -87,6 +87,15 @@ check-crypto-perf:
 	dune exec test/test_crypto.exe
 	dune exec test/test_batch.exe
 	dune exec bench/main.exe -- json --rounds 1
+
+# Section-8 extension experiments: successive joins (E1), set operations
+# (E2, A6), aggregation (E3) and selection (E4).  Each prints a correct
+# column and exits 1 when any row reads false; all five take a few
+# seconds.
+check-extensions:
+	dune build bench/main.exe
+	for e in chain setops aggregation selection ablation-setops; do \
+	    dune exec bench/main.exe -- $$e || exit 1; done
 
 # Full benchmark/reproduction suite (slow).
 bench:

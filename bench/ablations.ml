@@ -584,7 +584,7 @@ let setops () =
   let bytes o = Secmed_mediation.Transcript.total_bytes o.Outcome.transcript in
   let s2 o = Secmed_mediation.Transcript.bytes_sent_by o.Outcome.transcript
       (Secmed_mediation.Transcript.Source 2) in
-  Bench_util.print_table
+  Bench_util.print_checked_table
     ~headers:[ "pipeline"; "total bytes"; "right-source bytes"; "correct" ]
     [
       [ "semi-join protocol"; Bench_util.fmt_bytes (bytes semi); Bench_util.fmt_bytes (s2 semi);

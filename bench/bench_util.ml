@@ -37,6 +37,21 @@ let print_table ~headers rows =
   List.iter row rows;
   line ()
 
+(* [print_table] for experiments with a "correct" column: exits 1 after
+   printing when any row reads false, so the experiment doubles as a
+   check (make check-extensions). *)
+let print_checked_table ~headers rows =
+  print_table ~headers rows;
+  let rec index i = function
+    | [] -> invalid_arg "Bench_util.print_checked_table: no correct column"
+    | h :: rest -> if String.equal h "correct" then i else index (i + 1) rest
+  in
+  let column = index 0 headers in
+  if List.exists (fun row -> String.equal (List.nth row column) "false") rows then begin
+    prerr_endline "FAILED: a row's correct column reads false";
+    exit 1
+  end
+
 let fmt_ms seconds = Printf.sprintf "%.1f" (seconds *. 1000.0)
 let fmt_bytes b =
   if b >= 1_048_576 then Printf.sprintf "%.2f MiB" (float_of_int b /. 1_048_576.0)

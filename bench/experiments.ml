@@ -415,7 +415,7 @@ let chain () =
           Protocol.paper_schemes)
       [ 2; 3; 4 ]
   in
-  Bench_util.print_table
+  Bench_util.print_checked_table
     ~headers:[ "sources"; "scheme"; "rounds"; "result"; "correct"; "msgs"; "bytes"; "time (ms)" ]
     rows
 
@@ -449,7 +449,7 @@ let setops_experiment () =
       [ (Set_ops.Intersection, None); (Set_ops.Difference, None);
         (Set_ops.Semi_join, Some [ "a_join" ]) ]
   in
-  Bench_util.print_table
+  Bench_util.print_checked_table
     ~headers:[ "operation"; "result"; "correct"; "S1 bytes"; "S2 bytes"; "total" ]
     rows;
   print_endline "The right source transmits only fixed-size key hashes in every operation."
@@ -504,7 +504,7 @@ let aggregation () =
               ~query:scalar_query);
       ]
   in
-  Bench_util.print_table
+  Bench_util.print_checked_table
     ~headers:[ "pipeline"; "result rows"; "correct"; "pairs/bundles to client"; "bytes"; "time (ms)" ]
     rows;
   print_endline "The dedicated protocol ships per-key statistics instead of tuples; the";
@@ -553,7 +553,7 @@ let selection () =
           [ 4; 16; 64 ])
       [ 100; 500 ]
   in
-  Bench_util.print_table
+  Bench_util.print_checked_table
     ~headers:[ "price <"; "partitioning"; "exact"; "returned"; "superset"; "correct" ]
     table_rows;
   print_endline "Finer partitioning tightens the superset the mediator returns, at the";

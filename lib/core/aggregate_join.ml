@@ -76,27 +76,35 @@ let own_partials ~schema ~kinds ~own_side tuples =
            Some (index, List.fold_left Stdlib.max min_int (ints c))
          | K_sum _ | K_avg _ | K_min _ | K_max _ -> None)
 
-let encode_bundle ~count ~partials =
-  let w = Wire.writer () in
-  Wire.write_int w count;
-  Wire.write_list w
+(* A per-key bundle: the key, then c_i(a) and the source's own partials
+   as one nested string. *)
+let encode_bundle a ~count ~partials =
+  let stats = Wire.writer () in
+  Wire.write_int stats count;
+  Wire.write_list stats
     (fun (index, v) ->
-      Wire.write_int w index;
-      Wire.write_int w v)
+      Wire.write_int stats index;
+      Wire.write_int stats v)
     partials;
+  let w = Wire.writer () in
+  Wire.write_string w (Join_key.encode a);
+  Wire.write_string w (Wire.contents stats);
   Wire.contents w
 
 let decode_bundle blob =
   let r = Wire.reader blob in
-  let count = Wire.read_int r in
+  let key = Tuple.decode (Wire.read_string r) in
+  let stats = Wire.reader (Wire.read_string r) in
+  Wire.expect_end r;
+  let count = Wire.read_int stats in
   let partials =
-    Wire.read_list r (fun () ->
-        let index = Wire.read_int r in
-        let v = Wire.read_int r in
+    Wire.read_list stats (fun () ->
+        let index = Wire.read_int stats in
+        let v = Wire.read_int stats in
         (index, v))
   in
-  Wire.expect_end r;
-  (count, partials)
+  Wire.expect_end stats;
+  (key, count, partials)
 
 (* Combine the two sides' per-key statistics into the per-key value of one
    aggregate over the joined pairs. *)
@@ -113,18 +121,26 @@ let combine_per_key kind ~c1 ~c2 ~p1 ~p2 index =
   | K_min (s, _) -> `Extremum (own s)
   | K_max (s, _) -> `Extremum (own s)
 
+(* The client's last local step: the query's projection and DISTINCT. *)
+let finalize d relation =
+  let projected =
+    match d.Catalog.projection with
+    | None -> relation
+    | Some columns -> Relation.project columns relation
+  in
+  if d.Catalog.distinct then Relation.distinct projected else projected
+
 let run ?(strategy = Bundles) env client ~query =
   let scheme =
     match strategy with Bundles -> "aggregate" | Homomorphic -> "aggregate-homomorphic"
   in
   let b = Outcome.Builder.create ~scheme in
-  let tr = Outcome.Builder.transcript b in
-  let group = env.Env.group in
-  let group_bytes = (group.Group.bits + 7) / 8 in
+  let link = Link.make (Outcome.Builder.transcript b) in
   let (result, exact, received), counters =
     Counters.with_fresh (fun () ->
         let request =
-          Outcome.Builder.timed b "request" (fun () -> Request.run (Link.make tr) env client ~query)
+          Outcome.Builder.timed b ~party:"Mediator" "request" (fun () ->
+              Request.run link env client ~query)
         in
         let d = request.Request.decomposition in
         let specs, group_keys =
@@ -148,112 +164,95 @@ let run ?(strategy = Bundles) env client ~query =
            surface as Unsupported rather than a raw Not_found. *)
         let kinds = List.map (classify ~join_attrs left_schema right_schema) specs in
         let exact = Request.exact_result env request in
-        let s1 = d.Catalog.left.Catalog.source in
-        let s2 = d.Catalog.right.Catalog.source in
-        let prng1 = Env.prng_for env (Printf.sprintf "agg-source-%d" s1) in
-        let prng2 = Env.prng_for env (Printf.sprintf "agg-source-%d" s2) in
         let pk = request.Request.client_pk in
         let groups1 = Request.groups request `Left in
         let groups2 = Request.groups request `Right in
-
+        let ppk = Paillier.public client.Env.paillier_key in
+        let ct_bytes = (Bigint.numbits ppk.Paillier.n_squared + 7) / 8 in
+        (* Bundles: each source seals, per key, its per-key statistics.
+           Homomorphic: S1 ships bare hashes, S2 one Paillier ciphertext
+           per aggregate at fixed width, which the mediator combines. *)
+        let bundle ~own_side ~schema (a, tuples) =
+          let partials = own_partials ~schema ~kinds ~own_side tuples in
+          let plain = encode_bundle a ~count:(List.length tuples) ~partials in
+          (a, Some (fun prng -> Hybrid.to_wire (Hybrid.encrypt prng pk plain)))
+        in
+        let totals (a, tuples) =
+          let plains =
+            List.map
+              (function
+                | K_count -> List.length tuples
+                | K_sum (R, column) ->
+                  List.fold_left
+                    (fun acc t ->
+                      match Tuple.get t (Schema.find right_schema column) with
+                      | Value.Int n -> acc + n
+                      | Value.Str _ | Value.Bool _ ->
+                        unsupported "aggregate over non-integer column %s" column)
+                    0 tuples
+                | K_sum (L, _) | K_avg _ | K_min _ | K_max _ -> assert false)
+              kinds
+          in
+          ( a,
+            Some
+              (fun prng ->
+                String.concat ""
+                  (List.map
+                     (fun plain ->
+                       Bigint.to_bytes_be_padded ct_bytes
+                         (Paillier.ciphertext_to_bigint
+                            (Paillier.encrypt prng ppk (Bigint.of_int plain))))
+                     plains)) )
+        in
+        let entries1, entries2 =
+          match strategy with
+          | Bundles ->
+            ( List.map (bundle ~own_side:L ~schema:left_schema) groups1,
+              List.map (bundle ~own_side:R ~schema:right_schema) groups2 )
+          | Homomorphic ->
+            if grouped then unsupported "Homomorphic strategy supports scalar queries only";
+            List.iter
+              (function
+                | K_count | K_sum (R, _) -> ()
+                | K_sum (L, _) | K_avg _ | K_min _ | K_max _ ->
+                  unsupported
+                    "Homomorphic strategy supports COUNT and right-side SUM aggregates only")
+              kinds;
+            (* c1(a) must be 1 for every left key so that pair weighting
+               is trivial; S1 verifies this on its own plaintext. *)
+            if List.exists (fun (_, tuples) -> List.length tuples > 1) groups1 then
+              unsupported
+                "Homomorphic strategy requires duplicate-free join keys in the left relation";
+            (List.map (fun (a, _) -> (a, None)) groups1, List.map totals groups2)
+        in
+        let m =
+          Commutative_join.exchange b link env ~stream:"agg-source" ~use_ids:true
+            ~left:(d.Catalog.left.Catalog.source, entries1)
+            ~right:(d.Catalog.right.Catalog.source, entries2)
+        in
         match strategy with
         | Bundles ->
-          (* Each source sends, per key: commutatively encrypted hash +
-             hybrid-encrypted per-key statistics bundle. *)
-          let side_messages prng ~own_side ~schema groups =
-            let key = Commutative.keygen prng group in
-            let messages =
-              List.map
-                (fun (a, tuples) ->
-                  let hashed = Random_oracle.hash group (Join_key.encode a) in
-                  let partials = own_partials ~schema ~kinds ~own_side tuples in
-                  let bundle =
-                    Wire.contents
-                      (let w = Wire.writer () in
-                       Wire.write_string w (Join_key.encode a);
-                       Wire.write_string w
-                         (encode_bundle ~count:(List.length tuples) ~partials);
-                       w)
-                  in
-                  (Commutative.apply key hashed, Hybrid.encrypt prng pk bundle))
-                groups
-            in
-            let shuffled = Array.of_list messages in
-            Prng.shuffle prng shuffled;
-            (key, Array.to_list shuffled)
-          in
-          let key1, m1 = Outcome.Builder.timed b "source-encrypt" (fun () ->
-              side_messages prng1 ~own_side:L ~schema:left_schema groups1)
-          in
-          let key2, m2 = Outcome.Builder.timed b "source-encrypt" (fun () ->
-              side_messages prng2 ~own_side:R ~schema:right_schema groups2)
-          in
-          let set_size ms =
-            List.fold_left (fun acc (_, ct) -> acc + group_bytes + Hybrid.size ct) 0 ms
-          in
-          Transcript.record tr ~sender:(Source s1) ~receiver:Mediator ~label:"agg-bundles"
-            ~size:(set_size m1);
-          Transcript.record tr ~sender:(Source s2) ~receiver:Mediator ~label:"agg-bundles"
-            ~size:(set_size m2);
-          Outcome.Builder.mediator_sees b "cardinality-domactive-R1" (List.length m1);
-          Outcome.Builder.mediator_sees b "cardinality-domactive-R2" (List.length m2);
-          (* Hash exchange with retained payloads (IDs), as in Set_ops. *)
-          Transcript.record tr ~sender:Mediator ~receiver:(Source s2) ~label:"hashes-1"
-            ~size:((group_bytes + 8) * List.length m1);
-          Transcript.record tr ~sender:Mediator ~receiver:(Source s1) ~label:"hashes-2"
-            ~size:((group_bytes + 8) * List.length m2);
-          let from_s1 =
-            Outcome.Builder.timed b "source-reencrypt" (fun () ->
-                List.mapi (fun id (h, _) -> (id, Commutative.apply key1 h)) m2)
-          in
-          let from_s2 =
-            Outcome.Builder.timed b "source-reencrypt" (fun () ->
-                List.mapi (fun id (h, _) -> (id, Commutative.apply key2 h)) m1)
-          in
-          Transcript.record tr ~sender:(Source s1) ~receiver:Mediator
-            ~label:"doubly-encrypted" ~size:((group_bytes + 8) * List.length from_s1);
-          Transcript.record tr ~sender:(Source s2) ~receiver:Mediator
-            ~label:"doubly-encrypted" ~size:((group_bytes + 8) * List.length from_s2);
-          (* Match: from_s2 re-encrypts S1's hashes (ids into m1); from_s1
-             re-encrypts S2's (ids into m2). *)
-          let matches =
-            Outcome.Builder.timed b "mediator-match" (fun () ->
-                let table = Hashtbl.create 64 in
-                List.iter
-                  (fun (id, h) -> Hashtbl.replace table (Bigint.to_string h) id)
-                  from_s2;
-                List.filter_map
-                  (fun (id2, h) ->
-                    Option.map
-                      (fun id1 -> (id1, id2))
-                      (Hashtbl.find_opt table (Bigint.to_string h)))
-                  from_s1)
-          in
-          Outcome.Builder.mediator_sees b "intersection-size" (List.length matches);
-          let payload1 = Array.of_list (List.map snd m1) in
-          let payload2 = Array.of_list (List.map snd m2) in
           let forwarded =
-            List.map (fun (id1, id2) -> (payload1.(id1), payload2.(id2))) matches
+            List.map (fun (i, j) -> (m.left_payloads.(i), m.right_payloads.(j))) m.pairs
           in
-          Transcript.record tr ~sender:Mediator ~receiver:Client ~label:"matched-bundles"
+          Link.deliver_rows link ~phase:"client-postprocess" ~sender:Mediator ~receiver:Client
+            ~label:"matched-bundles"
             ~size:
               (List.fold_left
-                 (fun acc (x, y) -> acc + Hybrid.size x + Hybrid.size y)
-                 0 forwarded);
+                 (fun acc (x, y) -> acc + String.length x + String.length y)
+                 0 forwarded)
+            (fun () -> List.map (fun (x, y) -> x ^ y) forwarded);
           Outcome.Builder.client_sees b "bundles-received" (2 * List.length forwarded);
 
           (* Client: decrypt bundles, combine per key, assemble. *)
           let result =
-            Outcome.Builder.timed b "client-postprocess" (fun () ->
+            Outcome.Builder.timed b ~party:"Client" "client-postprocess" (fun () ->
                 let decrypt ct =
-                  match Hybrid.decrypt client.Env.key ct with
-                  | Some blob ->
-                    let r = Wire.reader blob in
-                    let key = Tuple.decode (Wire.read_string r) in
-                    let count, partials = decode_bundle (Wire.read_string r) in
-                    Wire.expect_end r;
-                    (key, count, partials)
-                  | None -> failwith "Aggregate_join: authentication failure"
+                  match Hybrid.decrypt client.Env.key (Hybrid.of_wire ct) with
+                  | Some blob -> decode_bundle blob
+                  | None ->
+                    Fault.fail ~phase:"client-postprocess" ~party:Client
+                      "authentication failure on an aggregate bundle"
                 in
                 let per_key =
                   List.map
@@ -268,18 +267,16 @@ let run ?(strategy = Bundles) env client ~query =
                       (key, values))
                     forwarded
                 in
-                let spec_ty kind (spec : Aggregate.spec) =
-                  match kind with
+                let spec_ty = function
                   | K_count | K_sum _ | K_avg _ -> Value.Tint
                   | K_min (side, column) | K_max (side, column) ->
                     let schema = match side with L -> left_schema | R -> right_schema in
-                    ignore spec;
                     (Schema.attr_at schema (Schema.find schema column)).Schema.ty
                 in
                 let agg_attrs =
                   List.map2
                     (fun kind (spec : Aggregate.spec) ->
-                      Schema.attr spec.Aggregate.alias (spec_ty kind spec))
+                      Schema.attr spec.Aggregate.alias (spec_ty kind))
                     kinds specs
                 in
                 let relation =
@@ -290,7 +287,6 @@ let run ?(strategy = Bundles) env client ~query =
                         group_keys
                     in
                     let schema = Schema.make (key_attrs @ agg_attrs) in
-                    let key_positions = Join_key.positions left_schema join_attrs in
                     (* group_keys may reorder join_attrs; map positions. *)
                     let reorder key =
                       List.map
@@ -303,7 +299,6 @@ let run ?(strategy = Bundles) env client ~query =
                           Tuple.get key (find 0 join_attrs))
                         group_keys
                     in
-                    ignore key_positions;
                     let rows =
                       List.map
                         (fun (key, values) ->
@@ -338,14 +333,17 @@ let run ?(strategy = Bundles) env client ~query =
                         List.mapi
                           (fun index kind ->
                             let values = List.map (fun (_, vs) -> List.nth vs index) per_key in
+                            let weighted = function
+                              | `Weighted v -> v
+                              | `Ratio _ | `Extremum _ -> assert false
+                            in
+                            let extremum = function
+                              | `Extremum v -> v
+                              | `Weighted _ | `Ratio _ -> assert false
+                            in
                             match kind with
                             | K_count | K_sum _ ->
-                              Value.Int
-                                (List.fold_left
-                                   (fun acc -> function
-                                     | `Weighted v -> acc + v
-                                     | `Ratio _ | `Extremum _ -> assert false)
-                                   0 values)
+                              Value.Int (List.fold_left (fun acc v -> acc + weighted v) 0 values)
                             | K_avg _ ->
                               let num, den =
                                 List.fold_left
@@ -357,139 +355,50 @@ let run ?(strategy = Bundles) env client ~query =
                               Value.Int (num / den)
                             | K_min _ ->
                               Value.Int
-                                (List.fold_left
-                                   (fun acc -> function
-                                     | `Extremum v -> Stdlib.min acc v
-                                     | `Weighted _ | `Ratio _ -> assert false)
-                                   max_int values)
+                                (List.fold_left (fun acc v -> Stdlib.min acc (extremum v)) max_int values)
                             | K_max _ ->
                               Value.Int
-                                (List.fold_left
-                                   (fun acc -> function
-                                     | `Extremum v -> Stdlib.max acc v
-                                     | `Weighted _ | `Ratio _ -> assert false)
-                                   min_int values))
+                                (List.fold_left (fun acc v -> Stdlib.max acc (extremum v)) min_int values))
                           kinds
                       in
                       Relation.of_rows schema [ row ]
                     end
                   end
                 in
-                let projected =
-                  match d.Catalog.projection with
-                  | None -> relation
-                  | Some columns -> Relation.project columns relation
-                in
-                if d.Catalog.distinct then Relation.distinct projected else projected)
+                finalize d relation)
           in
           (result, exact, List.length forwarded)
 
         | Homomorphic ->
-          (* Scalar COUNT/SUM over right-side columns, mediator-side
-             combination under the client's Paillier key. *)
-          if grouped then unsupported "Homomorphic strategy supports scalar queries only";
-          List.iter
-            (fun kind ->
-              match kind with
-              | K_count | K_sum (R, _) -> ()
-              | K_sum (L, _) | K_avg _ | K_min _ | K_max _ ->
-                unsupported
-                  "Homomorphic strategy supports COUNT and right-side SUM aggregates only")
-            kinds;
-          (* c1(a) must be 1 for every left key so that pair weighting is
-             trivial; S1 verifies this on its own plaintext. *)
-          if List.exists (fun (_, tuples) -> List.length tuples > 1) groups1 then
-            unsupported
-              "Homomorphic strategy requires duplicate-free join keys in the left relation";
-          let ppk = Paillier.public client.Env.paillier_key in
-          let ct_bytes = (Bigint.numbits ppk.Paillier.n_squared + 7) / 8 in
-          (* S1: bare hashes.  S2: hashes + per-key Paillier ciphertexts
-             (one per aggregate). *)
-          let key1 = Commutative.keygen prng1 group in
-          let hashes1 =
-            List.map
-              (fun (a, _) -> Commutative.apply key1 (Random_oracle.hash group (Join_key.encode a)))
-              groups1
+          (* Mediator: combine the matched right-side ciphertexts under
+             the client's Paillier key. *)
+          let ciphertexts payload =
+            List.init (List.length kinds) (fun index ->
+                Paillier.ciphertext_of_bigint ppk
+                  (Bigint.of_bytes_be (String.sub payload (index * ct_bytes) ct_bytes)))
           in
-          Transcript.record tr ~sender:(Source s1) ~receiver:Mediator ~label:"hashes"
-            ~size:(group_bytes * List.length hashes1);
-          let key2 = Commutative.keygen prng2 group in
-          let m2 =
-            Outcome.Builder.timed b "source-encrypt" (fun () ->
-                List.map
-                  (fun (a, tuples) ->
-                    let hashed =
-                      Commutative.apply key2 (Random_oracle.hash group (Join_key.encode a))
-                    in
-                    let cts =
-                      List.map
-                        (fun kind ->
-                          let plain =
-                            match kind with
-                            | K_count -> List.length tuples
-                            | K_sum (R, column) ->
-                              List.fold_left
-                                (fun acc t ->
-                                  match Tuple.get t (Schema.find right_schema column) with
-                                  | Value.Int n -> acc + n
-                                  | Value.Str _ | Value.Bool _ ->
-                                    unsupported "aggregate over non-integer column %s" column)
-                                0 tuples
-                            | K_sum (L, _) | K_avg _ | K_min _ | K_max _ -> assert false
-                          in
-                          Paillier.encrypt prng2 ppk (Bigint.of_int plain))
-                        kinds
-                    in
-                    (hashed, cts))
-                  groups2)
-          in
-          Transcript.record tr ~sender:(Source s2) ~receiver:Mediator ~label:"agg-ciphertexts"
-            ~size:(List.length m2 * (group_bytes + (ct_bytes * List.length kinds)));
-          Outcome.Builder.mediator_sees b "cardinality-domactive-R1" (List.length hashes1);
-          Outcome.Builder.mediator_sees b "cardinality-domactive-R2" (List.length m2);
-          (* Exchange and double encryption. *)
-          Transcript.record tr ~sender:Mediator ~receiver:(Source s2) ~label:"hashes-1"
-            ~size:(group_bytes * List.length hashes1);
-          Transcript.record tr ~sender:Mediator ~receiver:(Source s1) ~label:"hashes-2"
-            ~size:((group_bytes + 8) * List.length m2);
-          let from_s1 =
-            List.mapi (fun id (h, _) -> (id, Commutative.apply key1 h)) m2
-          in
-          let from_s2 = List.map (Commutative.apply key2) hashes1 in
-          Transcript.record tr ~sender:(Source s1) ~receiver:Mediator ~label:"doubly-encrypted"
-            ~size:((group_bytes + 8) * List.length from_s1);
-          Transcript.record tr ~sender:(Source s2) ~receiver:Mediator ~label:"doubly-encrypted"
-            ~size:(group_bytes * List.length from_s2);
-          (* Mediator: match, then combine the matched ciphertexts. *)
-          let matched_ids =
-            Outcome.Builder.timed b "mediator-match" (fun () ->
-                let left_set = Hashtbl.create 64 in
-                List.iter (fun h -> Hashtbl.replace left_set (Bigint.to_string h) ()) from_s2;
-                List.filter_map
-                  (fun (id, h) ->
-                    if Hashtbl.mem left_set (Bigint.to_string h) then Some id else None)
-                  from_s1)
-          in
-          Outcome.Builder.mediator_sees b "intersection-size" (List.length matched_ids);
-          let cts2 = Array.of_list (List.map snd m2) in
+          let matched = List.map (fun (_, j) -> ciphertexts m.right_payloads.(j)) m.pairs in
           let mediator_prng = Env.prng_for env "agg-mediator" in
           let totals =
-            Outcome.Builder.timed b "mediator-combine" (fun () ->
+            Outcome.Builder.timed b ~party:"Mediator" "mediator-combine" (fun () ->
                 List.mapi
                   (fun index _ ->
-                    let matched =
-                      List.map (fun id -> List.nth cts2.(id) index) matched_ids
-                    in
-                    match matched with
+                    match List.map (fun cts -> List.nth cts index) matched with
                     | [] -> Paillier.encrypt mediator_prng ppk Bigint.zero
                     | first :: rest -> List.fold_left (Paillier.add ppk) first rest)
                   kinds)
           in
-          Transcript.record tr ~sender:Mediator ~receiver:Client ~label:"aggregate-totals"
-            ~size:(ct_bytes * List.length totals);
+          Link.deliver link ~phase:"client-postprocess" ~sender:Mediator ~receiver:Client
+            ~label:"aggregate-totals" ~size:(ct_bytes * List.length totals)
+            (fun () ->
+              String.concat ""
+                (List.map
+                   (fun ct ->
+                     Bigint.to_bytes_be_padded ct_bytes (Paillier.ciphertext_to_bigint ct))
+                   totals));
           Outcome.Builder.client_sees b "ciphertexts-received" (List.length totals);
           let result =
-            Outcome.Builder.timed b "client-postprocess" (fun () ->
+            Outcome.Builder.timed b ~party:"Client" "client-postprocess" (fun () ->
                 let schema =
                   Schema.make
                     (List.map
@@ -501,14 +410,8 @@ let run ?(strategy = Bundles) env client ~query =
                     (fun ct -> Value.Int (Bigint.to_int (Paillier.decrypt client.Env.paillier_key ct)))
                     totals
                 in
-                let relation = Relation.of_rows schema [ row ] in
-                let projected =
-                  match d.Catalog.projection with
-                  | None -> relation
-                  | Some columns -> Relation.project columns relation
-                in
-                if d.Catalog.distinct then Relation.distinct projected else projected)
+                finalize d (Relation.of_rows schema [ row ]))
           in
-          (result, exact, List.length matched_ids))
+          (result, exact, List.length matched))
   in
   Outcome.Builder.finish b ~result ~exact ~client_received_tuples:received ~counters

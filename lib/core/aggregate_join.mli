@@ -8,7 +8,8 @@
     decomposes into per-join-key statistics each source can compute on its
     own plaintext — count c_i(a), sum/min/max of its own columns over
     Tup_i(a) — so the sources only ship *per-key aggregate bundles*, never
-    tuples.  Matching uses the commutative machinery of Listing 3.
+    tuples.  Matching is the Listing-3 exchange
+    ({!Commutative_join.exchange}, payloads kept behind IDs).
 
     Two delivery strategies:
 
@@ -41,4 +42,5 @@ val run :
   Outcome.t
 (** The outcome's [result] is the aggregate relation (group keys followed
     by one column per aggregate, or a single row for scalar queries);
-    [exact] is the trusted-mediator reference. *)
+    [exact] is the trusted-mediator reference.  A bundle failing
+    authentication raises [Fault.Fault_detected] at the client. *)

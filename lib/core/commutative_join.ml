@@ -5,69 +5,173 @@ open Secmed_mediation
 
 let group_bytes group = (group.Group.bits + 7) / 8
 
-(* Serialization of a tuple set Tup_i(a) for hybrid encryption. *)
-let encode_tuple_set tuples =
-  let w = Wire.writer () in
-  Wire.write_list w (fun t -> Wire.write_string w (Tuple.encode t)) tuples;
-  Wire.contents w
+type entry = Join_key.t * (Prng.t -> string) option
 
-let decode_tuple_set blob =
-  let r = Wire.reader blob in
-  let tuples = Wire.read_list r (fun () -> Tuple.decode (Wire.read_string r)) in
-  Wire.expect_end r;
-  tuples
+type exchanged = {
+  pairs : (int * int) list;
+  left_payloads : string array;
+  right_payloads : string array;
+}
 
-(* One source's step 1-3: key generation, hashing, encryption, and the
-   shuffled message set M_i. *)
-let build_messages prng group pk request which =
-  let key = Commutative.keygen prng group in
-  (* Per-group hash + f_e + hybrid encryption on independent split
-     streams: the Batch executor fans the loop across domains with
-     bit-identical messages at any domain count.  The shuffle below
-     draws from the parent stream, after the splits, as before. *)
-  let shuffled =
-    Batch.map_seeded ~prng ~label:"comm-msg"
-      (fun _ prng (a, tuples) ->
-        let hashed = Random_oracle.hash group (Join_key.encode a) in
-        (Commutative.apply key hashed, Hybrid.encrypt prng pk (encode_tuple_set tuples)))
-      (Array.of_list (Request.groups request which))
-  in
-  Prng.shuffle prng shuffled;
-  (key, Array.to_list shuffled)
+(* What travels with a (re-)encrypted hash: nothing, the mediator's
+   8-byte ID for a payload it retained (footnote 1), or the payload. *)
+type carried = Bare | Id of int | Ct of string
 
-let message_set_size group messages =
-  List.fold_left (fun acc (_, ct) -> acc + group_bytes group + Hybrid.size ct) 0 messages
-
-(* Canonical payloads: hashed keys at the group's fixed byte width and
-   IDs as 8-byte integers, so each message's wire form is exactly the
-   size the transcript declares.  One string per message, so the sets
-   can travel row-wise ([Link.deliver_rows]). *)
-let message_rows group messages =
+(* Canonical wire rows: the hash at the group's fixed byte width followed
+   by the carried bytes, so each message's wire form is exactly the size
+   the transcript declares.  One string per entry, so the sets can
+   travel row-wise ([Link.deliver_rows]). *)
+let rows group entries =
   let gb = group_bytes group in
   List.map
-    (fun (h, ct) -> Bigint.to_bytes_be_padded gb h ^ Hybrid.to_wire ct)
-    messages
-
-let entry_rows group entries =
-  let gb = group_bytes group in
-  List.map
-    (fun (h, payload) ->
+    (fun (h, carried) ->
       let w = Wire.writer () in
       Wire.write_raw w (Bigint.to_bytes_be_padded gb h);
-      (match payload with
-       | `Id i -> Wire.write_int w i
-       | `Ct ct -> Wire.write_raw w (Hybrid.to_wire ct));
+      (match carried with
+       | Bare -> ()
+       | Id i -> Wire.write_int w i
+       | Ct ct -> Wire.write_raw w ct);
       Wire.contents w)
     entries
 
-let entries_payload group entries = String.concat "" (entry_rows group entries)
+(* The i-th message of a set as it travels: a source always sends its
+   payloads; the mediator substitutes IDs for them under [ids]. *)
+let carried ~ids messages =
+  Array.to_list
+    (Array.mapi
+       (fun i (h, p) ->
+         (h, match p with None -> Bare | Some _ when ids -> Id i | Some ct -> Ct ct))
+       messages)
+
+let wire_size group entries =
+  List.fold_left
+    (fun acc (_, carried) ->
+      acc + group_bytes group
+      + (match carried with Bare -> 0 | Id _ -> 8 | Ct ct -> String.length ct))
+    0 entries
+
+let exchange b link env ~stream ~use_ids ~left:(s1, entries1) ~right:(s2, entries2) =
+  let fault = Link.fault link in
+  let group = env.Env.group in
+  let party sid = Transcript.party_name (Source sid) in
+  (* Steps 1-3 at one source: key generation, then per key a hash, f_e
+     and the payload's sealing on independent split streams (the Batch
+     executor fans the loop across domains with bit-identical messages
+     at any domain count), then the shuffle from the parent stream — so
+     the mediator never sees the message set in key order. *)
+  let side sid entries =
+    let prng = Env.prng_for env (Printf.sprintf "%s-%d" stream sid) in
+    let key, sealed, order =
+      Outcome.Builder.timed b ~party:(party sid) "source-encrypt" (fun () ->
+          let key = Commutative.keygen prng group in
+          let sealed =
+            Batch.map_seeded ~prng ~label:"comm-msg"
+              (fun _ prng (a, seal) ->
+                ( Commutative.apply key (Random_oracle.hash group (Join_key.encode a)),
+                  Option.map (fun seal -> seal prng) seal ))
+              (Array.of_list entries)
+          in
+          let order = Array.init (Array.length sealed) Fun.id in
+          Prng.shuffle prng order;
+          (key, sealed, order))
+    in
+    (* A byzantine source ships payloads that parse but fail
+       authentication when the client opens them (DESIGN.md §8). *)
+    let sealed =
+      match Fault.byzantine_mode fault sid with
+      | Some Fault.Malformed_ciphertexts ->
+        Array.map (fun (h, p) -> (h, Option.map Fault.flip_tail p)) sealed
+      | _ -> sealed
+    in
+    let messages = Array.map (fun i -> sealed.(i)) order in
+    let sent = carried ~ids:false messages in
+    Link.deliver_rows link ~phase:"mediator-exchange" ~sender:(Source sid) ~receiver:Mediator
+      ~label:"M_i" ~size:(wire_size group sent)
+      (fun () -> rows group sent);
+    (key, sealed, order, messages)
+  in
+  let key1, sealed1, order1, m1 = side s1 entries1 in
+  let key2, sealed2, order2, m2 = side s2 entries2 in
+  (* Conformance audit (only under a fault plan, so honest runs stay
+     byte-identical): a public canary h0 travels both directions; the
+     mediator later checks f_e1(f_e2(h0)) = f_e2(f_e1(h0)), which catches
+     a source whose second pass used a stale key. *)
+  let canary_h0 =
+    if Fault.auditing fault then Some (Random_oracle.hash group "commutative-canary") else None
+  in
+  let send_canary sid key =
+    Option.map
+      (fun h0 ->
+        let ch = Commutative.apply key h0 in
+        Link.deliver link ~phase:"mediator-match" ~sender:(Source sid) ~receiver:Mediator
+          ~label:"canary" ~guard:false ~size:(group_bytes group)
+          (fun () -> Bigint.to_bytes_be_padded (group_bytes group) ch);
+        ch)
+      canary_h0
+  in
+  let canary1 = send_canary s1 key1 and canary2 = send_canary s2 key2 in
+  Outcome.Builder.mediator_sees b "cardinality-domactive-R1" (Array.length m1);
+  Outcome.Builder.mediator_sees b "cardinality-domactive-R2" (Array.length m2);
+
+  (* Step 4: the mediator exchanges the message sets, optionally keeping
+     the payloads and substituting their positions as IDs. *)
+  let to_s2 = carried ~ids:use_ids m1 and to_s1 = carried ~ids:use_ids m2 in
+  Link.deliver link ~phase:"source-reencrypt" ~sender:Mediator ~receiver:(Source s2)
+    ~label:"M_1" ~size:(wire_size group to_s2) (fun () -> String.concat "" (rows group to_s2));
+  Link.deliver link ~phase:"source-reencrypt" ~sender:Mediator ~receiver:(Source s1)
+    ~label:"M_2" ~size:(wire_size group to_s1) (fun () -> String.concat "" (rows group to_s1));
+  Outcome.Builder.source_sees b s1 "cardinality-domactive-opposite" (Array.length m2);
+  Outcome.Builder.source_sees b s2 "cardinality-domactive-opposite" (Array.length m1);
+
+  (* Steps 5-6: each source applies its key on top of the other's.  A
+     byzantine source may use a stale (different) key for the second
+     pass, which would silently empty the intersection — the canary
+     audit catches it. *)
+  let double_encrypt sid key entries other_canary =
+    Outcome.Builder.timed b ~party:(party sid) "source-reencrypt" (fun () ->
+        let key =
+          match Fault.byzantine_mode fault sid with
+          | Some Fault.Stale_commutative_key ->
+            Commutative.keygen (Env.prng_for env (Printf.sprintf "stale-comm-key-%d" sid)) group
+          | _ -> key
+        in
+        let reencrypted = List.map (fun (h, c) -> (Commutative.apply key h, c)) entries in
+        Link.deliver_rows link ~phase:"mediator-match" ~sender:(Source sid) ~receiver:Mediator
+          ~label:"doubly-encrypted" ~size:(wire_size group reencrypted)
+          (fun () -> rows group reencrypted);
+        (List.map fst reencrypted, Option.map (Commutative.apply key) other_canary))
+  in
+  let from_s1, double_canary1 = double_encrypt s1 key1 to_s1 canary2 in
+  let from_s2, double_canary2 = double_encrypt s2 key2 to_s2 canary1 in
+  (match (double_canary1, double_canary2) with
+   | Some a, Some b when not (Bigint.equal a b) ->
+     Fault.fail ~phase:"mediator-match" ~party:Mediator
+       "commutative canary mismatch: a source re-encrypted under a stale key"
+   | _ -> ());
+
+  (* Step 7: the mediator matches identical doubly-encrypted hashes.
+     from_s2 re-encrypts S1's set (positions into m1), from_s1 S2's. *)
+  let pairs =
+    Outcome.Builder.timed b ~party:"Mediator" "mediator-match" (fun () ->
+        let table = Hashtbl.create 64 in
+        List.iteri (fun i h -> Hashtbl.replace table (Bigint.to_string h) i) from_s2;
+        List.concat
+          (List.mapi
+             (fun j h ->
+               match Hashtbl.find_opt table (Bigint.to_string h) with
+               | Some i -> [ (order1.(i), order2.(j)) ]
+               | None -> [])
+             from_s1))
+  in
+  Outcome.Builder.mediator_sees b "intersection-size" (List.length pairs);
+  let payloads sealed = Array.map (fun (_, p) -> Option.value ~default:"" p) sealed in
+  { pairs; left_payloads = payloads sealed1; right_payloads = payloads sealed2 }
 
 let run ?fault ?endpoint ?(use_ids = false) env client ~query =
   let b = Outcome.Builder.create ~scheme:"commutative" in
   let tr = Outcome.Builder.transcript b in
   Fault.attach fault tr;
   let link = Link.make ?endpoint ?fault tr in
-  let group = env.Env.group in
   let (result, exact, received), counters =
     Counters.with_fresh (fun () ->
         let request =
@@ -75,157 +179,34 @@ let run ?fault ?endpoint ?(use_ids = false) env client ~query =
         in
         let exact = Request.exact_result env request in
         let pk = request.Request.client_pk in
-        let source_of which =
-          match which with
-          | `Left -> request.Request.decomposition.Catalog.left.Catalog.source
-          | `Right -> request.Request.decomposition.Catalog.right.Catalog.source
+        let d = request.Request.decomposition in
+        (* Steps 1-7, each Tup_i(a) hybrid-encrypted as a's payload. *)
+        let entries which =
+          List.map
+            (fun (a, tuples) ->
+              ( a,
+                Some
+                  (fun prng ->
+                    Hybrid.to_wire (Hybrid.encrypt prng pk (Join_key.encode_tuple_set tuples))) ))
+            (Request.groups request which)
         in
-
-        (* Steps 1-3: each source builds and sends its message set M_i. *)
-        let side which =
-          let sid = source_of which in
-          let prng = Env.prng_for env (Printf.sprintf "comm-source-%d" sid) in
-          let key, messages =
-            Outcome.Builder.timed b ~party:(Transcript.party_name (Source sid))
-              "source-encrypt" (fun () ->
-                build_messages prng group pk request which)
-          in
-          (* A byzantine source ships ciphertexts that parse but fail
-             authentication when the client opens them (DESIGN.md §8). *)
-          let messages =
-            match Fault.byzantine_mode fault sid with
-            | Some Fault.Malformed_ciphertexts ->
-              List.map
-                (fun (h, ct) -> (h, Hybrid.of_wire (Fault.flip_tail (Hybrid.to_wire ct))))
-                messages
-            | _ -> messages
-          in
-          Link.deliver_rows link ~phase:"mediator-exchange" ~sender:(Source sid)
-            ~receiver:Mediator ~label:"M_i" ~size:(message_set_size group messages)
-            (fun () -> message_rows group messages);
-          (sid, key, messages)
+        let m =
+          exchange b link env ~stream:"comm-source" ~use_ids
+            ~left:(d.Catalog.left.Catalog.source, entries `Left)
+            ~right:(d.Catalog.right.Catalog.source, entries `Right)
         in
-        let s1, key1, m1 = side `Left in
-        let s2, key2, m2 = side `Right in
-        (* Conformance audit (only under a fault plan, so honest runs stay
-           byte-identical): a public canary h0 travels both directions;
-           the mediator later checks f_e1(f_e2(h0)) = f_e2(f_e1(h0)),
-           which catches a source whose second pass used a stale key. *)
-        let canary_h0 =
-          if Fault.auditing fault then
-            Some (Random_oracle.hash group "commutative-canary")
-          else None
-        in
-        let send_canary sid key =
-          match canary_h0 with
-          | None -> None
-          | Some h0 ->
-            let ch = Commutative.apply key h0 in
-            Link.deliver link ~phase:"mediator-match" ~sender:(Source sid)
-              ~receiver:Mediator ~label:"canary" ~guard:false ~size:(group_bytes group)
-              (fun () -> Bigint.to_bytes_be_padded (group_bytes group) ch);
-            Some ch
-        in
-        let canary1 = send_canary s1 key1 and canary2 = send_canary s2 key2 in
-        Outcome.Builder.mediator_sees b "cardinality-domactive-R1" (List.length m1);
-        Outcome.Builder.mediator_sees b "cardinality-domactive-R2" (List.length m2);
-
-        (* Step 4: the mediator exchanges the message sets (footnote 1:
-           optionally substituting fixed-length IDs for the ciphertexts). *)
-        let outbound messages =
-          if use_ids then List.mapi (fun i (h, _) -> (h, `Id i)) messages
-          else List.map (fun (h, ct) -> (h, `Ct ct)) messages
-        in
-        let wire_size entries =
-          List.fold_left
-            (fun acc (_, payload) ->
-              acc + group_bytes group
-              + (match payload with `Id _ -> 8 | `Ct ct -> Hybrid.size ct))
-            0 entries
-        in
-        let to_s2 = outbound m1 and to_s1 = outbound m2 in
-        Link.deliver link ~phase:"source-reencrypt" ~sender:Mediator ~receiver:(Source s2)
-          ~label:"M_1" ~size:(wire_size to_s2) (fun () -> entries_payload group to_s2);
-        Link.deliver link ~phase:"source-reencrypt" ~sender:Mediator ~receiver:(Source s1)
-          ~label:"M_2" ~size:(wire_size to_s1) (fun () -> entries_payload group to_s1);
-        Outcome.Builder.source_sees b s1 "cardinality-domactive-opposite" (List.length m2);
-        Outcome.Builder.source_sees b s2 "cardinality-domactive-opposite" (List.length m1);
-
-        (* Steps 5-6: each source applies its key on top of the other's.
-           A byzantine source may use a stale (different) key for the
-           second pass, which would silently empty the intersection —
-           the canary audit catches it. *)
-        let double_encrypt sid key entries other_canary =
-          Outcome.Builder.timed b ~party:(Transcript.party_name (Source sid))
-            "source-reencrypt" (fun () ->
-              let key =
-                match Fault.byzantine_mode fault sid with
-                | Some Fault.Stale_commutative_key ->
-                  Commutative.keygen
-                    (Env.prng_for env (Printf.sprintf "stale-comm-key-%d" sid))
-                    group
-                | _ -> key
-              in
-              let reencrypted =
-                List.map (fun (h, payload) -> (Commutative.apply key h, payload)) entries
-              in
-              Link.deliver_rows link ~phase:"mediator-match" ~sender:(Source sid)
-                ~receiver:Mediator ~label:"doubly-encrypted" ~size:(wire_size reencrypted)
-                (fun () -> entry_rows group reencrypted);
-              (reencrypted, Option.map (Commutative.apply key) other_canary))
-        in
-        let from_s1, double_canary1 = double_encrypt s1 key1 to_s1 canary2 in
-        let from_s2, double_canary2 = double_encrypt s2 key2 to_s2 canary1 in
-        (match (double_canary1, double_canary2) with
-        | Some a, Some b when Bigint.to_string a <> Bigint.to_string b ->
-          Fault.fail ~phase:"mediator-match" ~party:Mediator
-            "commutative canary mismatch: a source re-encrypted under a stale key"
-        | _ -> ());
-
-        (* Step 7: the mediator matches identical first components. *)
-        let matches =
-          Outcome.Builder.timed b ~party:"Mediator" "mediator-match" (fun () ->
-              let table = Hashtbl.create 64 in
-              List.iter
-                (fun (h, payload) -> Hashtbl.replace table (Bigint.to_string h) payload)
-                from_s2;
-              (* from_s2 carries (f_e2(f_e1(h(a))), Tup_1(a)); from_s1
-                 carries (f_e1(f_e2(h(a))), Tup_2(a)). *)
-              List.filter_map
-                (fun (h, payload2) ->
-                  match Hashtbl.find_opt table (Bigint.to_string h) with
-                  | Some payload1 -> Some (payload1, payload2)
-                  | None -> None)
-                from_s1)
-        in
-        Outcome.Builder.mediator_sees b "intersection-size" (List.length matches);
         (* With IDs the mediator resolves them back to the ciphertexts it
            retained; without, the ciphertexts travelled with the hashes. *)
-        let resolve_payload side_table = function
-          | `Ct ct -> ct
-          | `Id id -> Hashtbl.find side_table id
-        in
-        let ids_of messages =
-          let t = Hashtbl.create 64 in
-          List.iteri (fun i (_, ct) -> Hashtbl.replace t i ct) messages;
-          t
-        in
-        let table_m1 = ids_of m1 and table_m2 = ids_of m2 in
         let result_messages =
-          List.map
-            (fun (payload1, payload2) ->
-              (resolve_payload table_m1 payload1, resolve_payload table_m2 payload2))
-            matches
-        in
-        let result_size =
-          List.fold_left
-            (fun acc (a, c) -> acc + Hybrid.size a + Hybrid.size c)
-            0 result_messages
+          List.map (fun (i, j) -> (m.left_payloads.(i), m.right_payloads.(j))) m.pairs
         in
         Link.deliver_rows link ~phase:"client-postprocess" ~sender:Mediator ~receiver:Client
-          ~label:"result-messages" ~size:result_size
-          (fun () ->
-            List.map (fun (a, c) -> Hybrid.to_wire a ^ Hybrid.to_wire c) result_messages);
+          ~label:"result-messages"
+          ~size:
+            (List.fold_left
+               (fun acc (a, c) -> acc + String.length a + String.length c)
+               0 result_messages)
+          (fun () -> List.map (fun (a, c) -> a ^ c) result_messages);
 
         (* Step 8: the client decrypts and combines the tuple sets. *)
         let join_attrs = Request.join_attrs request in
@@ -243,8 +224,8 @@ let run ?fault ?endpoint ?(use_ids = false) env client ~query =
             (Schema.make (List.map (Schema.attr_at right_schema) (Array.to_list keep_right)))
         in
         let decrypt_set label ct =
-          match Hybrid.decrypt client.Env.key ct with
-          | Some blob -> decode_tuple_set blob
+          match Hybrid.decrypt client.Env.key (Hybrid.of_wire ct) with
+          | Some blob -> Join_key.decode_tuple_set blob
           | None ->
             Fault.fail ~phase:"client-postprocess" ~party:Client
               ("authentication failure on " ^ label)

@@ -7,7 +7,47 @@
     its own key on top of the other's.  Commutativity makes the doubly
     encrypted hashes of equal join values collide, letting the mediator
     assemble exactly the matching pairs — the client receives the exact
-    global result, encrypted. *)
+    global result, encrypted.
+
+    The exchange (steps 1-7) is also the matching engine of the
+    Section-8 side paths ({!Set_ops}, {!Aggregate_join}), which differ
+    only in what each key carries and what the mediator forwards. *)
+
+type entry = Join_key.t * (Secmed_crypto.Prng.t -> string) option
+(** One key a of a source's active domain with the sealer of its
+    payload: given the entry's own PRNG stream it returns the payload's
+    ciphertext bytes (e.g. hybrid-encrypted Tup_i(a)).  [None] ships the
+    bare hash, which is forwarded without an ID. *)
+
+type exchanged = {
+  pairs : (int * int) list;
+      (** (left id, right id) of every key both sides hold, ids indexing
+          the input entry lists, in the mediator's match order *)
+  left_payloads : string array;
+      (** each left entry's sealed payload, in input order (the mediator
+          holds them all; [""] for a bare entry) *)
+  right_payloads : string array;
+}
+
+val exchange :
+  Outcome.Builder.builder ->
+  Secmed_mediation.Link.t ->
+  Env.t ->
+  stream:string ->
+  use_ids:bool ->
+  left:int * entry list ->
+  right:int * entry list ->
+  exchanged
+(** Listing 3's steps 1-7 between the sources [left]/[right] (ids with
+    their entries) through the mediator: per source a fresh commutative
+    key (drawn from [Env.prng_for env (stream ^ "-" ^ id)]), the hashed,
+    encrypted and sealed entries on {!Batch.map_seeded} split streams,
+    shuffled; the exchange of the message sets (payloads travel with the
+    hashes, or with [use_ids] stay at the mediator behind 8-byte IDs);
+    the second encryption; the match.  Every message goes through the
+    link, and the fault plan attached to it drives the byzantine modes
+    and the canary audit.  Records the mediator's and the sources'
+    cardinality observations and the intersection size. *)
 
 val run :
   ?fault:Secmed_mediation.Fault.plan ->

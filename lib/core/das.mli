@@ -75,6 +75,11 @@ val encrypt_relation :
     independent per-tuple PRNG streams: bit-identical rows at any
     [domains] count (default {!Batch.default_domains}). *)
 
+val er_rows : encrypted_relation -> string list
+(** Canonical wire form, one string per row: the hybrid ciphertext
+    followed by the 8-byte big-endian partition indexes, [wire_size]
+    bytes in total. *)
+
 val server_query_pairs :
   left_tables:Das_partition.t list ->
   right_tables:Das_partition.t list ->

@@ -1,4 +1,5 @@
 open Secmed_relalg
+module Wire = Secmed_mediation.Wire
 
 type t = Value.t list
 
@@ -46,3 +47,14 @@ let group_by relation names =
       (key, List.rev tuples))
     (List.rev !order)
   |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+let encode_tuple_set tuples =
+  let w = Wire.writer () in
+  Wire.write_list w (fun t -> Wire.write_string w (Tuple.encode t)) tuples;
+  Wire.contents w
+
+let decode_tuple_set blob =
+  let r = Wire.reader blob in
+  let tuples = Wire.read_list r (fun () -> Tuple.decode (Wire.read_string r)) in
+  Wire.expect_end r;
+  tuples

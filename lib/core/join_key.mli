@@ -39,3 +39,11 @@ val distinct_keys : Relation.t -> string list -> t list
 
 val group_by : Relation.t -> string list -> (t * Tuple.t list) list
 (** Tup(a) for every distinct key a, in key order. *)
+
+val encode_tuple_set : Tuple.t list -> string
+(** Serialization of a tuple set Tup_i(a), the plaintext a source
+    encrypts as the payload of key a. *)
+
+val decode_tuple_set : string -> Tuple.t list
+(** Inverse of {!encode_tuple_set}; raises [Wire.Malformed] or
+    [Invalid_argument] on malformed input. *)

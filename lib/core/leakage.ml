@@ -107,6 +107,28 @@ type claim = {
 
 let claim ~subject ~description ~expected ~measured = { subject; description; expected; measured }
 
+(* What every run of the Listing-3 exchange discloses: the join and the
+   Section-8 side paths built on it ({!Commutative_join.exchange}). *)
+let exchange_claims (o : Outcome.t) (g : Ground_truth.t) =
+  let mediator key = Outcome.observed o.Outcome.mediator_observed key in
+  [
+    claim ~subject:"mediator" ~description:"learns |domactive(R1.Ajoin)|"
+      ~expected:g.Ground_truth.domactive_left
+      ~measured:(mediator "cardinality-domactive-R1");
+    claim ~subject:"mediator" ~description:"learns |domactive(R2.Ajoin)|"
+      ~expected:g.Ground_truth.domactive_right
+      ~measured:(mediator "cardinality-domactive-R2");
+    claim ~subject:"mediator" ~description:"learns the active-domain intersection size"
+      ~expected:g.Ground_truth.domactive_intersection
+      ~measured:(mediator "intersection-size");
+    claim ~subject:"source-1" ~description:"learns |domactive| of the opposite source"
+      ~expected:g.Ground_truth.domactive_right
+      ~measured:
+        (Option.bind
+           (List.assoc_opt 1 o.Outcome.sources_observed)
+           (fun obs -> List.assoc_opt "cardinality-domactive-opposite" obs));
+  ]
+
 let verify (o : Outcome.t) ~(ground_truth : Ground_truth.t) =
   let g = ground_truth in
   let mediator key = Outcome.observed o.Outcome.mediator_observed key in
@@ -131,49 +153,16 @@ let verify (o : Outcome.t) ~(ground_truth : Ground_truth.t) =
            else None);
     ]
   else if String.length scheme >= 11 && String.sub scheme 0 11 = "commutative" then
-    [
-      claim ~subject:"mediator" ~description:"learns |domactive(R1.Ajoin)|"
-        ~expected:g.Ground_truth.domactive_left
-        ~measured:(mediator "cardinality-domactive-R1");
-      claim ~subject:"mediator" ~description:"learns |domactive(R2.Ajoin)|"
-        ~expected:g.Ground_truth.domactive_right
-        ~measured:(mediator "cardinality-domactive-R2");
-      claim ~subject:"mediator" ~description:"learns the active-domain intersection size"
-        ~expected:g.Ground_truth.domactive_intersection
-        ~measured:(mediator "intersection-size");
-      claim ~subject:"client" ~description:"receives only the exact global result"
-        ~expected:g.Ground_truth.exact_join_pairs
-        ~measured:(Some o.Outcome.client_received_tuples);
-      claim ~subject:"source-1" ~description:"learns |domactive| of the opposite source"
-        ~expected:g.Ground_truth.domactive_right
-        ~measured:
-          (Option.bind
-             (List.assoc_opt 1 o.Outcome.sources_observed)
-             (fun obs -> List.assoc_opt "cardinality-domactive-opposite" obs));
-    ]
+    exchange_claims o g
+    @ [
+        claim ~subject:"client" ~description:"receives only the exact global result"
+          ~expected:g.Ground_truth.exact_join_pairs
+          ~measured:(Some o.Outcome.client_received_tuples);
+      ]
   else if
     List.exists (String.equal scheme) [ "intersection"; "semi-join"; "difference" ]
-  then
-    [
-      claim ~subject:"mediator" ~description:"learns the left key-set size"
-        ~expected:g.Ground_truth.domactive_left
-        ~measured:(mediator "cardinality-keys-left");
-      claim ~subject:"mediator" ~description:"learns the right key-set size"
-        ~expected:g.Ground_truth.domactive_right
-        ~measured:(mediator "cardinality-keys-right");
-    ]
-  else if String.length scheme >= 9 && String.sub scheme 0 9 = "aggregate" then
-    [
-      claim ~subject:"mediator" ~description:"learns |domactive(R1.Ajoin)|"
-        ~expected:g.Ground_truth.domactive_left
-        ~measured:(mediator "cardinality-domactive-R1");
-      claim ~subject:"mediator" ~description:"learns |domactive(R2.Ajoin)|"
-        ~expected:g.Ground_truth.domactive_right
-        ~measured:(mediator "cardinality-domactive-R2");
-      claim ~subject:"mediator" ~description:"learns the active-domain intersection size"
-        ~expected:g.Ground_truth.domactive_intersection
-        ~measured:(mediator "intersection-size");
-    ]
+    || (String.length scheme >= 9 && String.sub scheme 0 9 = "aggregate")
+  then exchange_claims o g
   else if String.length scheme >= 2 && String.sub scheme 0 2 = "pm" then
     [
       claim ~subject:"mediator" ~description:"learns |domactive(R1.Ajoin)| from the degree of P1"

@@ -23,17 +23,6 @@ let root_of_key key = Bigint.of_bytes_be (root_bytes key)
 
 let root_of_value v = root_of_key (Join_key.of_values [ v ])
 
-let encode_tuple_set tuples =
-  let w = Wire.writer () in
-  Wire.write_list w (fun t -> Wire.write_string w (Tuple.encode t)) tuples;
-  Wire.contents w
-
-let decode_tuple_set blob =
-  let r = Wire.reader blob in
-  let tuples = Wire.read_list r (fun () -> Tuple.decode (Wire.read_string r)) in
-  Wire.expect_end r;
-  tuples
-
 let ciphertext_bytes pk = (Bigint.numbits pk.Paillier.n_squared + 7) / 8
 
 let be64 v = String.init 8 (fun i -> Char.chr ((v lsr ((7 - i) * 8)) land 0xff))
@@ -67,11 +56,11 @@ let evaluate_side ~variant ~prng ~pk ~opp_coeffs ~request ~which ~first_id =
       (fun i prng (a, tuples) ->
         let payload, id_entry =
           match variant with
-          | Direct_payload -> (encode_tuple_set tuples, None)
+          | Direct_payload -> (Join_key.encode_tuple_set tuples, None)
           | Session_keys ->
             let key = Hybrid.random_session_key prng in
             let id = first_id + i in
-            (key ^ be64 id, Some (id, Hybrid.dem_encrypt prng ~key (encode_tuple_set tuples)))
+            (key ^ be64 id, Some (id, Hybrid.dem_encrypt prng ~key (Join_key.encode_tuple_set tuples)))
         in
         let packed = root_bytes a ^ payload in
         let message =
@@ -121,7 +110,7 @@ let decrypt_entries sk e_values =
 let recover_tuples ~variant ~id_lookup entry =
   match variant with
   | Direct_payload -> (
-    try Some (decode_tuple_set entry.entry_payload)
+    try Some (Join_key.decode_tuple_set entry.entry_payload)
     with Invalid_argument _ | Wire.Malformed _ -> None)
   | Session_keys ->
     if String.length entry.entry_payload <> 24 then None
@@ -133,7 +122,7 @@ let recover_tuples ~variant ~id_lookup entry =
       | Some blob ->
         (match Hybrid.dem_decrypt ~key blob with
          | Some set -> (
-           try Some (decode_tuple_set set)
+           try Some (Join_key.decode_tuple_set set)
            with Invalid_argument _ | Wire.Malformed _ -> None)
          | None -> None)
     end

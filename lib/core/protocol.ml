@@ -234,6 +234,11 @@ let pp_failure fmt f =
     (if f.attempts = 1 then "" else "s")
     f.reason
 
+let () =
+  Printexc.register_printer (function
+    | Faulted f -> Some (Format.asprintf "Protocol.Faulted: %a" pp_failure f)
+    | _ -> None)
+
 let pp_session_failures fmt tried =
   List.iter
     (fun (scheme, f) -> Format.fprintf fmt "%s: %a@." scheme pp_failure f)

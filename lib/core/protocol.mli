@@ -43,6 +43,7 @@ type run_result =
   | Fault of failure
 
 exception Faulted of failure
+(** [Printexc.to_string] renders it with {!pp_failure}. *)
 
 (** {2 Distributed coordination}
 

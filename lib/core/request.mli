@@ -40,6 +40,12 @@ val run : Link.t -> Env.t -> Env.client -> query:string -> t
     [Catalog.Unsupported], or {!Fault.Fault_detected} when an installed
     fault plan hits the request-phase messages. *)
 
+val authorize : Env.t -> Catalog.entry -> Credential.t list -> Relation.t
+(** Step 4 at the entry's source: verify every credential, then evaluate
+    the source relation under the source's policy for the credentials'
+    properties.  Returns the granted rows renamed to the global relation
+    name; raises {!Bad_credential} or {!Access_denied}. *)
+
 val exact_result : Env.t -> t -> Relation.t
 (** The reference global result: natural join of the partial results with
     the residual WHERE / projection / DISTINCT applied — what an honest
@@ -57,9 +63,6 @@ val join_attrs : t -> string list
 val join_attr_values : t -> [ `Left | `Right ] -> Join_key.t list
 (** dom_active(R_i.A_join) — sorted distinct join keys of a partial
     result. *)
-
-val tup : t -> [ `Left | `Right ] -> Join_key.t -> Tuple.t list
-(** The paper's Tup_i(a): tuples of R_i whose join key equals a. *)
 
 val groups : t -> [ `Left | `Right ] -> (Join_key.t * Tuple.t list) list
 (** All (a, Tup_i(a)) pairs at once, in key order. *)

@@ -31,7 +31,7 @@ let normalize_predicate schema p =
 
 let run ?(strategy = Das_partition.Equi_depth 4) env client ~query =
   let b = Outcome.Builder.create ~scheme:"das-select" in
-  let tr = Outcome.Builder.transcript b in
+  let link = Link.make (Outcome.Builder.transcript b) in
   let (result, exact, received), counters =
     Counters.with_fresh (fun () ->
         let ast = Parser.parse query in
@@ -44,30 +44,17 @@ let run ?(strategy = Das_partition.Equi_depth 4) env client ~query =
           with Not_found -> unsupported "unknown relation %s" ast.Ast.from.Ast.table
         in
         let sid = entry.Catalog.source in
-        (* Request phase, single partial query. *)
-        Transcript.record tr ~sender:Client ~receiver:Mediator ~label:"global-query"
-          ~size:(String.length query + Request.credential_size client.Env.credentials);
-        Transcript.record tr ~sender:Mediator ~receiver:(Source sid) ~label:"partial-query"
-          ~size:
-            (String.length entry.Catalog.source_relation
-            + Request.credential_size client.Env.credentials);
-        let source = Env.source_by_id env sid in
-        List.iter
-          (fun c ->
-            if not (Credential.Authority.verify env.Env.ca c) then
-              raise (Request.Bad_credential sid))
-          client.Env.credentials;
-        let relation =
-          match List.assoc_opt entry.Catalog.source_relation source.Env.relations with
-          | Some r -> r
-          | None -> raise (Request.Access_denied sid)
-        in
-        let properties = List.concat_map Credential.properties client.Env.credentials in
-        let granted =
-          match Policy.apply source.Env.policy properties relation with
-          | Some r -> Relation.rename entry.Catalog.relation r
-          | None -> raise (Request.Access_denied sid)
-        in
+        let credentials = client.Env.credentials in
+        (* Request phase, single partial query carrying every credential. *)
+        Link.deliver link ~phase:"request" ~sender:Client ~receiver:Mediator
+          ~label:"global-query"
+          ~size:(String.length query + Request.credential_size credentials)
+          (fun () -> query);
+        Link.deliver link ~phase:"request" ~sender:Mediator ~receiver:(Source sid)
+          ~label:"partial-query"
+          ~size:(String.length entry.Catalog.source_relation + Request.credential_size credentials)
+          (fun () -> entry.Catalog.source_relation);
+        let granted = Request.authorize env entry credentials in
         let schema = Relation.schema granted in
         let where =
           Option.map
@@ -110,7 +97,7 @@ let run ?(strategy = Das_partition.Equi_depth 4) env client ~query =
         in
         let prng = Env.prng_for env (Printf.sprintf "select-source-%d" sid) in
         let pk =
-          match client.Env.credentials with
+          match credentials with
           | c :: _ -> Credential.public_key c
           | [] -> raise (Request.Access_denied sid)
         in
@@ -118,58 +105,44 @@ let run ?(strategy = Das_partition.Equi_depth 4) env client ~query =
           List.map
             (fun attr ->
               let column = Relation.column granted attr in
-              ( attr,
-                Das_partition.build
-                  (Das_partition.adapt strategy column)
-                  ~relation:entry.Catalog.relation ~attr column ))
+              Das_partition.build
+                (Das_partition.adapt strategy column)
+                ~relation:entry.Catalog.relation ~attr column)
             indexed_attrs
         in
-        let encrypted_rows =
-          Outcome.Builder.timed b "source-encrypt" (fun () ->
-              List.map
-                (fun tuple ->
-                  let etuple = Hybrid.encrypt prng pk (Tuple.encode tuple) in
-                  let indexes =
-                    List.map
-                      (fun (attr, table) ->
-                        Das_partition.index_of table
-                          (Tuple.get tuple (Schema.find schema attr)))
-                      tables
-                  in
-                  (etuple, indexes))
-                (Relation.tuples granted))
+        let rs =
+          Outcome.Builder.timed b ~party:(Transcript.party_name (Source sid)) "source-encrypt"
+            (fun () -> Das.encrypt_relation prng pk tables ~join_attrs:indexed_attrs granted)
         in
-        let tables_wire =
+        let enc_tables =
           let w = Wire.writer () in
           Wire.write_list w
             (fun (attr, table) ->
               Wire.write_string w attr;
               Wire.write_string w (Das_partition.to_wire table))
-            tables;
-          Wire.contents w
+            (List.combine indexed_attrs tables);
+          Hybrid.encrypt prng pk (Wire.contents w)
         in
-        let enc_tables = Hybrid.encrypt prng pk tables_wire in
-        let rows_size =
-          List.fold_left
-            (fun acc (ct, idx) -> acc + Hybrid.size ct + (8 * List.length idx))
-            0 encrypted_rows
-        in
-        Transcript.record tr ~sender:(Source sid) ~receiver:Mediator ~label:"RS+enc(ITables)"
-          ~size:(rows_size + Hybrid.size enc_tables);
-        Outcome.Builder.mediator_sees b "cardinality-RS" (List.length encrypted_rows);
+        Link.deliver_rows link ~phase:"source-upload" ~sender:(Source sid) ~receiver:Mediator
+          ~label:"RS+enc(ITables)" ~size:(rs.Das.wire_size + Hybrid.size enc_tables)
+          (fun () -> Das.er_rows rs @ [ Hybrid.to_wire enc_tables ]);
+        Outcome.Builder.mediator_sees b "cardinality-RS" (List.length rs.Das.rows);
 
         (* Client setting: tables travel to the client, which translates. *)
-        Transcript.record tr ~sender:Mediator ~receiver:Client ~label:"enc(ITables)"
-          ~size:(Hybrid.size enc_tables);
+        Link.deliver link ~phase:"client-translate" ~sender:Mediator ~receiver:Client
+          ~label:"enc(ITables)" ~size:(Hybrid.size enc_tables)
+          (fun () -> Hybrid.to_wire enc_tables);
         let server_condition =
-          Outcome.Builder.timed b "client-translate" (fun () ->
+          Outcome.Builder.timed b ~party:"Client" "client-translate" (fun () ->
               match where with
               | None -> Predicate.True
               | Some p ->
                 let blob =
                   match Hybrid.decrypt client.Env.key enc_tables with
                   | Some blob -> blob
-                  | None -> failwith "Select_query: authentication failure on ITables"
+                  | None ->
+                    Fault.fail ~phase:"client-translate" ~party:Client
+                      "authentication failure on ITables"
                 in
                 let r = Wire.reader blob in
                 let decoded =
@@ -183,20 +156,23 @@ let run ?(strategy = Das_partition.Equi_depth 4) env client ~query =
                   ~tables:(fun attr -> List.assoc_opt attr decoded)
                   p)
         in
-        Transcript.record tr ~sender:Client ~receiver:Mediator ~label:"server-query-qS"
-          ~size:(24 * Stdlib.max 1 (Predicate.size server_condition));
+        (* q_S is modelled at 24 bytes per predicate node. *)
+        Link.deliver link ~phase:"mediator-server-query" ~sender:Client ~receiver:Mediator
+          ~label:"server-query-qS"
+          ~size:(24 * Stdlib.max 1 (Predicate.size server_condition))
+          (fun () -> "");
         Outcome.Builder.mediator_sees b "condition-size-qS" (Predicate.size server_condition);
 
         (* The mediator filters the encrypted relation with the relational
            engine over the index columns. *)
         let rc =
-          Outcome.Builder.timed b "mediator-server-query" (fun () ->
+          Outcome.Builder.timed b ~party:"Mediator" "mediator-server-query" (fun () ->
               let index_schema =
                 Schema.make
                   (Schema.attr "etuple" Value.Tstring
                   :: List.map
-                       (fun (attr, _) -> Schema.attr (Das_translate.index_attr attr) Value.Tint)
-                       tables)
+                       (fun attr -> Schema.attr (Das_translate.index_attr attr) Value.Tint)
+                       indexed_attrs)
               in
               let index_relation =
                 Relation.make index_schema
@@ -204,8 +180,8 @@ let run ?(strategy = Das_partition.Equi_depth 4) env client ~query =
                      (fun (ct, indexes) ->
                        Tuple.of_list
                          (Value.Str (Hybrid.to_wire ct)
-                         :: List.map (fun i -> Value.Int i) indexes))
-                     encrypted_rows)
+                         :: Array.to_list (Array.map (fun i -> Value.Int i) indexes)))
+                     rs.Das.rows)
               in
               List.map
                 (fun t ->
@@ -215,19 +191,23 @@ let run ?(strategy = Das_partition.Equi_depth 4) env client ~query =
                 (Relation.tuples (Relation.select server_condition index_relation)))
         in
         Outcome.Builder.mediator_sees b "cardinality-RC" (List.length rc);
-        Transcript.record tr ~sender:Mediator ~receiver:Client ~label:"RC"
-          ~size:(List.fold_left (fun acc ct -> acc + Hybrid.size ct) 0 rc);
+        Link.deliver_rows link ~phase:"client-postprocess" ~sender:Mediator ~receiver:Client
+          ~label:"RC"
+          ~size:(List.fold_left (fun acc ct -> acc + Hybrid.size ct) 0 rc)
+          (fun () -> List.map Hybrid.to_wire rc);
         Outcome.Builder.client_sees b "candidates-received" (List.length rc);
 
         (* Client: decrypt, post-filter with the original condition. *)
         let result =
-          Outcome.Builder.timed b "client-postprocess" (fun () ->
+          Outcome.Builder.timed b ~party:"Client" "client-postprocess" (fun () ->
               let tuples =
                 List.map
                   (fun ct ->
                     match Hybrid.decrypt client.Env.key ct with
                     | Some blob -> Tuple.decode blob
-                    | None -> failwith "Select_query: authentication failure on etuple")
+                    | None ->
+                      Fault.fail ~phase:"client-postprocess" ~party:Client
+                        "authentication failure on etuple")
                   rc
               in
               apply_clauses (Relation.make schema tuples))

@@ -20,4 +20,7 @@ val run :
   query:string ->
   Outcome.t
 (** Default strategy: [Equi_depth 4] per indexed attribute.  A query
-    without a WHERE clause transfers the whole (encrypted) relation. *)
+    without a WHERE clause transfers the whole (encrypted) relation.
+    Ciphertexts failing authentication raise [Fault.Fault_detected] at
+    the client ([client-translate] for the index tables,
+    [client-postprocess] for the tuples). *)

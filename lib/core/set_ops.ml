@@ -1,4 +1,3 @@
-open Secmed_bigint
 open Secmed_crypto
 open Secmed_relalg
 open Secmed_mediation
@@ -12,17 +11,6 @@ let op_name = function
   | Intersection -> "intersection"
   | Semi_join -> "semi-join"
   | Difference -> "difference"
-
-let encode_tuple_set tuples =
-  let w = Wire.writer () in
-  Wire.write_list w (fun t -> Wire.write_string w (Tuple.encode t)) tuples;
-  Wire.contents w
-
-let decode_tuple_set blob =
-  let r = Wire.reader blob in
-  let tuples = Wire.read_list r (fun () -> Tuple.decode (Wire.read_string r)) in
-  Wire.expect_end r;
-  tuples
 
 let bare_names relation =
   List.map (fun a -> a.Schema.name) (Schema.attrs (Relation.schema relation))
@@ -44,16 +32,15 @@ let exact_result op ~on left right =
 
 let run ?on env client op ~left ~right =
   let b = Outcome.Builder.create ~scheme:(op_name op) in
-  let tr = Outcome.Builder.transcript b in
-  let group = env.Env.group in
-  let group_bytes = (group.Group.bits + 7) / 8 in
+  let link = Link.make (Outcome.Builder.transcript b) in
   let (result, exact, received), counters =
     Counters.with_fresh (fun () ->
         (* Request phase as usual; the two partial queries are the same
            "select *" queries as for a join. *)
         let query = Printf.sprintf "select * from %s natural join %s" left right in
         let request =
-          Outcome.Builder.timed b "request" (fun () -> Request.run (Link.make tr) env client ~query)
+          Outcome.Builder.timed b ~party:"Mediator" "request" (fun () ->
+              Request.run link env client ~query)
         in
         let left_rel = request.Request.left_result in
         let right_rel = request.Request.right_result in
@@ -70,13 +57,10 @@ let run ?on env client op ~left ~right =
         in
         let exact = Request.finalize request (exact_result op ~on:key_attrs left_rel right_rel) in
         let pk = request.Request.client_pk in
-        let s1 = request.Request.decomposition.Catalog.left.Catalog.source in
-        let s2 = request.Request.decomposition.Catalog.right.Catalog.source in
-        let prng1 = Env.prng_for env (Printf.sprintf "setop-source-%d" s1) in
-        let prng2 = Env.prng_for env (Printf.sprintf "setop-source-%d" s2) in
-
-        (* S1: commutative key + hashed keys + encrypted payloads. *)
-        let key1 = Commutative.keygen prng1 group in
+        let d = request.Request.decomposition in
+        (* S1 seals its payloads; S2 contributes bare hashes only — no
+           tuple data leaves S2.  The mediator keeps the payloads behind
+           IDs and forwards the selected ones. *)
         let payload_of tuples =
           match op with
           | Semi_join -> tuples
@@ -85,98 +69,49 @@ let run ?on env client op ~left ~right =
                tuple; ship one representative (set semantics). *)
             (match tuples with [] -> [] | t :: _ -> [ t ])
         in
-        let m1 =
-          Outcome.Builder.timed b "source-encrypt" (fun () ->
-              let entries =
-                List.map
-                  (fun (key, tuples) ->
-                    let hashed = Random_oracle.hash group (Join_key.encode key) in
-                    ( Commutative.apply key1 hashed,
-                      Hybrid.encrypt prng1 pk (encode_tuple_set (payload_of tuples)) ))
-                  (Join_key.group_by left_rel key_attrs)
-              in
-              let shuffled = Array.of_list entries in
-              Prng.shuffle prng1 shuffled;
-              Array.to_list shuffled)
+        let seal tuples prng =
+          Hybrid.to_wire (Hybrid.encrypt prng pk (Join_key.encode_tuple_set (payload_of tuples)))
         in
-        Transcript.record tr ~sender:(Source s1) ~receiver:Mediator ~label:"M_1(keys+payloads)"
-          ~size:
-            (List.fold_left (fun acc (_, ct) -> acc + group_bytes + Hybrid.size ct) 0 m1);
-
-        (* S2: bare hashed keys only — no tuple data leaves S2. *)
-        let key2 = Commutative.keygen prng2 group in
-        let m2 =
-          Outcome.Builder.timed b "source-encrypt" (fun () ->
-              let hashes =
-                List.map
-                  (fun key ->
-                    Commutative.apply key2 (Random_oracle.hash group (Join_key.encode key)))
-                  (Join_key.distinct_keys right_rel key_attrs)
-              in
-              let shuffled = Array.of_list hashes in
-              Prng.shuffle prng2 shuffled;
-              Array.to_list shuffled)
+        let m =
+          Commutative_join.exchange b link env ~stream:"setop-source" ~use_ids:true
+            ~left:
+              ( d.Catalog.left.Catalog.source,
+                List.map (fun (a, tuples) -> (a, Some (seal tuples)))
+                  (Join_key.group_by left_rel key_attrs) )
+            ~right:
+              ( d.Catalog.right.Catalog.source,
+                List.map (fun a -> (a, None)) (Join_key.distinct_keys right_rel key_attrs) )
         in
-        Transcript.record tr ~sender:(Source s2) ~receiver:Mediator ~label:"M_2(keys)"
-          ~size:(group_bytes * List.length m2);
-        Outcome.Builder.mediator_sees b "cardinality-keys-left" (List.length m1);
-        Outcome.Builder.mediator_sees b "cardinality-keys-right" (List.length m2);
-
-        (* Exchange: the mediator retains the payloads and forwards only
-           the hashes (with positional IDs for the left set). *)
-        Transcript.record tr ~sender:Mediator ~receiver:(Source s2) ~label:"hashes-1"
-          ~size:((group_bytes + 8) * List.length m1);
-        Transcript.record tr ~sender:Mediator ~receiver:(Source s1) ~label:"hashes-2"
-          ~size:(group_bytes * List.length m2);
-
-        (* Double encryption on both sides. *)
-        let from_s1 =
-          Outcome.Builder.timed b "source-reencrypt" (fun () ->
-              List.map (fun h -> Commutative.apply key1 h) m2)
-        in
-        Transcript.record tr ~sender:(Source s1) ~receiver:Mediator ~label:"doubly-encrypted-2"
-          ~size:(group_bytes * List.length from_s1);
-        let from_s2 =
-          Outcome.Builder.timed b "source-reencrypt" (fun () ->
-              List.mapi (fun id (h, _) -> (id, Commutative.apply key2 h)) m1)
-        in
-        Transcript.record tr ~sender:(Source s2) ~receiver:Mediator ~label:"doubly-encrypted-1"
-          ~size:((group_bytes + 8) * List.length from_s2);
-
-        (* Matching at the mediator. *)
         let selected =
-          Outcome.Builder.timed b "mediator-match" (fun () ->
-              let right_set = Hashtbl.create 64 in
-              List.iter (fun h -> Hashtbl.replace right_set (Bigint.to_string h) ()) from_s1;
-              let payloads = Array.of_list (List.map snd m1) in
-              List.filter_map
-                (fun (id, h) ->
-                  let matched = Hashtbl.mem right_set (Bigint.to_string h) in
-                  let wanted =
-                    match op with
-                    | Intersection | Semi_join -> matched
-                    | Difference -> not matched
-                  in
-                  if wanted then Some payloads.(id) else None)
-                from_s2)
+          match op with
+          | Intersection | Semi_join -> List.map (fun (i, _) -> m.left_payloads.(i)) m.pairs
+          | Difference ->
+            let matched = Hashtbl.create 64 in
+            List.iter (fun (i, _) -> Hashtbl.replace matched i ()) m.pairs;
+            List.filteri (fun i _ -> not (Hashtbl.mem matched i))
+              (Array.to_list m.left_payloads)
         in
         Outcome.Builder.mediator_sees b "payloads-forwarded" (List.length selected);
-        Transcript.record tr ~sender:Mediator ~receiver:Client ~label:"selected-payloads"
-          ~size:(List.fold_left (fun acc ct -> acc + Hybrid.size ct) 0 selected);
+        Link.deliver_rows link ~phase:"client-postprocess" ~sender:Mediator ~receiver:Client
+          ~label:"selected-payloads"
+          ~size:(List.fold_left (fun acc ct -> acc + String.length ct) 0 selected)
+          (fun () -> selected);
 
         (* Client: decrypt and assemble. *)
         let received = ref 0 in
         let result =
-          Outcome.Builder.timed b "client-postprocess" (fun () ->
+          Outcome.Builder.timed b ~party:"Client" "client-postprocess" (fun () ->
               let tuples =
                 List.concat_map
                   (fun ct ->
-                    match Hybrid.decrypt client.Env.key ct with
+                    match Hybrid.decrypt client.Env.key (Hybrid.of_wire ct) with
                     | Some blob ->
-                      let tuples = decode_tuple_set blob in
+                      let tuples = Join_key.decode_tuple_set blob in
                       received := !received + List.length tuples;
                       tuples
-                    | None -> failwith "Set_ops: authentication failure on payload")
+                    | None ->
+                      Fault.fail ~phase:"client-postprocess" ~party:Client
+                        "authentication failure on payload")
                   selected
               in
               let relation = Relation.make (Relation.schema left_rel) tuples in

@@ -2,11 +2,12 @@
     Section 8: "Inclusion of other relational operations is a demanding
     field of further research").
 
-    All three operations run a lean variant of the commutative-encryption
-    protocol in which only the *left* source attaches encrypted payloads;
-    the right source contributes bare commutatively-encrypted key hashes.
-    The mediator matches doubly-encrypted hashes exactly as in Listing 3
-    and forwards the selected left payloads:
+    All three operations run the Listing-3 exchange
+    ({!Commutative_join.exchange}) in a lean shape: only the *left*
+    source attaches encrypted payloads, which the mediator keeps behind
+    IDs; the right source contributes bare commutatively-encrypted key
+    hashes.  The mediator matches doubly-encrypted hashes and forwards
+    the selected left payloads:
 
     - {b Intersection}: keys are whole tuples; matched payloads decrypt to
       the distinct tuples present in both relations.
@@ -39,5 +40,6 @@ val run :
     named global relations.  [on] overrides the key attributes for
     {!Semi_join} (default: all common attributes); it is ignored by the
     whole-tuple operations.  Raises [Invalid_argument] when the relations
-    are not layout-compatible for {!Intersection}/{!Difference}, plus
-    everything {!Request.run} raises. *)
+    are not layout-compatible for {!Intersection}/{!Difference},
+    [Fault.Fault_detected] (client, [client-postprocess]) when a payload
+    fails authentication, plus everything {!Request.run} raises. *)

@@ -64,6 +64,14 @@ exception Fault_detected of failure
 
 let fail ~phase ~party reason = raise (Fault_detected { phase; party; reason })
 
+let pp_failure fmt f =
+  Format.fprintf fmt "fault at %s (%s): %s" f.phase (Transcript.party_name f.party) f.reason
+
+let () =
+  Printexc.register_printer (function
+    | Fault_detected f -> Some (Format.asprintf "Fault.Fault_detected: %a" pp_failure f)
+    | _ -> None)
+
 type plan = {
   prng : Prng.t;
   rules : rule list;

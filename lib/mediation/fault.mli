@@ -62,6 +62,10 @@ exception Fault_detected of failure
 val fail : phase:string -> party:Transcript.party -> string -> 'a
 (** Raise {!Fault_detected}. *)
 
+val pp_failure : Format.formatter -> failure -> unit
+(** "fault at PHASE (PARTY): REASON" — also what [Printexc.to_string]
+    prints for an escaped {!Fault_detected}. *)
+
 type plan
 (** Mutable: rule counters, the event log and the retry state advance as
     the plan is replayed, so a [times]-bounded transient fault is consumed

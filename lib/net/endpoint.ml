@@ -5,6 +5,11 @@ module Stream = Secmed_core.Stream
 
 exception Aborted of Fault.failure
 
+let () =
+  Printexc.register_printer (function
+    | Aborted f -> Some (Format.asprintf "Endpoint.Aborted: %a" Fault.pp_failure f)
+    | _ -> None)
+
 module Mux = struct
   type t = {
     conn : Io.conn;

@@ -21,7 +21,8 @@ open Secmed_mediation
 
 exception Aborted of Fault.failure
 (** Raised out of a replica's [recv] when the mediator aborts the
-    attempt; the replica's driver unwinds and reports [St_aborted]. *)
+    attempt; the replica's driver unwinds and reports [St_aborted].
+    [Printexc.to_string] renders it with {!Fault.pp_failure}. *)
 
 module Mux : sig
   type t

@@ -1331,6 +1331,228 @@ let test_outcome_accessors () =
   Alcotest.(check bool) "summary renders" true
     (String.length (Format.asprintf "%a" Outcome.pp_summary o) > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Client-side authentication failures on the side paths are typed. *)
+
+(* The client holds another client's private key while its credentials
+   still carry its own public key: every payload the sources seal fails
+   authentication at the client. *)
+let with_wrong_key env client =
+  let other = Env.make_client env ~identity:"impostor" ~properties:[ [] ] in
+  { client with Env.key = other.Env.key }
+
+let expect_client_fault name ~phase run =
+  match run () with
+  | exception Fault.Fault_detected f ->
+    Alcotest.(check string) (name ^ ": phase") phase f.Fault.phase;
+    Alcotest.(check string) (name ^ ": party") "Client" (Transcript.party_name f.Fault.party)
+  | _ -> Alcotest.failf "%s: a wrong client key must fail authentication" name
+
+let test_setop_wrong_key () =
+  let env, _, _ = setop_env () in
+  let client = with_wrong_key env (Env.make_client env ~identity:"ops" ~properties:[ [] ]) in
+  expect_client_fault "intersection" ~phase:"client-postprocess" (fun () ->
+      Set_ops.run env client Set_ops.Intersection ~left:"Stock" ~right:"Order")
+
+let test_aggregate_wrong_key () =
+  let env = agg_env () in
+  let client = with_wrong_key env (Env.make_client env ~identity:"agg" ~properties:[ [] ]) in
+  expect_client_fault "aggregate" ~phase:"client-postprocess" (fun () ->
+      Aggregate_join.run env client
+        ~query:"select count(*), sum(amount) from Customers natural join Orders")
+
+let test_select_wrong_key () =
+  let env = select_env () in
+  let client = with_wrong_key env (Env.make_client env ~identity:"sel" ~properties:[ [] ]) in
+  (* With a condition the encrypted index tables fail first; without
+     one the tuples do. *)
+  expect_client_fault "ITables" ~phase:"client-translate" (fun () ->
+      Select_query.run env client ~query:"select * from Inventory where price < 50");
+  expect_client_fault "etuple" ~phase:"client-postprocess" (fun () ->
+      Select_query.run env client ~query:"select * from Inventory")
+
+(* ------------------------------------------------------------------ *)
+(* The mediator never sees a message set in key order (Listing 3
+   shuffles; the homomorphic aggregation once sent both sets sorted, so
+   the mediator learned each matched key's rank).  The exchange runs in
+   the homomorphic shape — bare left hashes, right-side Paillier
+   payloads, IDs — over a transport that plays the mediator and keeps
+   every row it receives. *)
+
+let test_exchange_hides_key_order () =
+  let n = 10 in
+  let env, client, _ = scenario () in
+  let ppk = Paillier.public client.Env.paillier_key in
+  let ct_bytes = (Bigint.numbits ppk.Paillier.n_squared + 7) / 8 in
+  let gb = (env.Env.group.Group.bits + 7) / 8 in
+  let received = Hashtbl.create 8 in
+  let transport =
+    {
+      Link.role = Transcript.Mediator;
+      send = (fun ~phase:_ ~seq:_ ~sender:_ ~receiver:_ ~label:_ ~size:_ _ -> ());
+      recv =
+        (fun ~phase:_ ~seq:_ ~sender:_ ~receiver:_ ~label ~size:_ ->
+          Alcotest.failf "unexpected scalar message %s" label);
+      rows =
+        {
+          Link.send_rows = (fun ~phase:_ ~seq:_ ~sender:_ ~receiver:_ ~label:_ ~size:_ _ -> ());
+          recv_rows =
+            (fun ~phase:_ ~seq:_ ~sender ~receiver:_ ~label ~size:_ ~expect ->
+              Hashtbl.replace received (Transcript.party_name sender, label) (List.map snd expect));
+        };
+    }
+  in
+  let b = Outcome.Builder.create ~scheme:"exchange" in
+  let link = Link.make ~endpoint:(Link.Remote transport) (Outcome.Builder.transcript b) in
+  let keys = List.init n (fun rank -> Join_key.of_values [ Value.Int (100 + rank) ]) in
+  let seal rank prng =
+    Bigint.to_bytes_be_padded ct_bytes
+      (Paillier.ciphertext_to_bigint (Paillier.encrypt prng ppk (Bigint.of_int rank)))
+  in
+  let m =
+    Commutative_join.exchange b link env ~stream:"order-test" ~use_ids:true
+      ~left:(1, List.map (fun k -> (k, None)) keys)
+      ~right:(2, List.mapi (fun rank k -> (k, Some (seal rank))) keys)
+  in
+  Alcotest.(check int) "every key matched" n (List.length m.Commutative_join.pairs);
+  let rows sender label = Hashtbl.find received (sender, label) in
+  let hash row = String.sub row 0 gb in
+  (* S2's set: each payload decrypts to its key's rank. *)
+  let right_order =
+    Array.of_list
+      (List.map
+         (fun row ->
+           Bigint.to_int
+             (Paillier.decrypt client.Env.paillier_key
+                (Paillier.ciphertext_of_bigint ppk
+                   (Bigint.of_bytes_be (String.sub row gb ct_bytes)))))
+         (rows "Source2" "M_i"))
+  in
+  (* S1's set is bare; the match links it to ranks: S1's second pass
+     carries M_2 positions as IDs, S2's second pass follows M_1's order. *)
+  let rank_of = Hashtbl.create n in
+  List.iter
+    (fun row ->
+      let id = Wire.read_int (Wire.reader (String.sub row gb 8)) in
+      Hashtbl.replace rank_of (hash row) right_order.(id))
+    (rows "Source1" "doubly-encrypted");
+  let left_order =
+    List.map (fun row -> Hashtbl.find rank_of (hash row)) (rows "Source2" "doubly-encrypted")
+  in
+  let key_order = List.init n Fun.id in
+  List.iter
+    (fun (name, order) ->
+      Alcotest.(check (list int)) (name ^ " is a permutation") key_order (List.sort compare order);
+      if order = key_order then Alcotest.failf "the mediator receives %s in key order" name)
+    [ ("S1's set", left_order); ("S2's set", Array.to_list right_order) ]
+
+(* ------------------------------------------------------------------ *)
+(* Golden fingerprints, recorded from fixed seeds.  The commutative join
+   is pinned in full (transcript with labels, phase names, per-op and
+   per-(party, phase) counters, result in delivery order).  The side
+   paths pin only what a refactor of their message plumbing must keep:
+   the result rows (sorted), the per-message (sender, receiver, size)
+   sequence and the per-op counters — labels and ciphertexts may move. *)
+
+let fingerprint parts = Digest.to_hex (Digest.string (String.concat "\n" parts))
+
+let render_messages ~labels o =
+  List.map
+    (fun (m : Transcript.message) ->
+      Printf.sprintf "%d %s>%s %s %d" m.Transcript.seq (Transcript.party_name m.Transcript.sender)
+        (Transcript.party_name m.Transcript.receiver)
+        (if labels then m.Transcript.label else "")
+        m.Transcript.size)
+    (Transcript.messages o.Outcome.transcript)
+
+let render_counters counters =
+  List.map (fun (p, n) -> Printf.sprintf "%s=%d" (Counters.name p) n) counters
+
+let render_result ~sorted o =
+  let r = o.Outcome.result in
+  let rows =
+    List.map
+      (fun t -> String.concat "|" (List.map Value.to_string (Tuple.to_list t)))
+      (Relation.tuples r)
+  in
+  List.map (fun a -> a.Schema.name) (Schema.attrs (Relation.schema r))
+  @ if sorted then List.sort compare rows else rows
+
+let check_fingerprint name expected parts =
+  let actual = fingerprint parts in
+  if not (String.equal expected actual) then
+    Alcotest.failf "%s fingerprint %s, expected %s; rendering:\n%s" name actual expected
+      (String.concat "\n" parts)
+
+let commutative_fingerprint o =
+  [ "transcript" ] @ render_messages ~labels:true o
+  @ [ "phases" ] @ List.map fst o.Outcome.timings
+  @ [ "counters" ] @ render_counters o.Outcome.counters
+  @ [ "attributed" ]
+  @ List.concat_map
+      (fun ((party, phase), cs) -> (party ^ "/" ^ phase) :: render_counters cs)
+      o.Outcome.attributed
+  @ [ "result" ] @ render_result ~sorted:false o
+
+let side_path_fingerprint o =
+  [ "messages" ] @ render_messages ~labels:false o
+  @ [ "counters" ] @ render_counters o.Outcome.counters
+  @ [ "result" ] @ render_result ~sorted:true o
+
+let golden_commutative =
+  [ (false, "7991cfac8570b009e94738e4ceb13ea5"); (true, "9d8881d89dc513cac37079d9f7d7db3d") ]
+
+let test_golden_commutative () =
+  List.iter
+    (fun (use_ids, expected) ->
+      let o = run_scheme (Protocol.Commutative { use_ids }) in
+      check_fingerprint (Printf.sprintf "commutative use_ids=%b" use_ids) expected
+        (commutative_fingerprint o))
+    golden_commutative
+
+let golden_inventory_env () =
+  let inventory =
+    Relation.of_rows
+      (Schema.of_list [ ("sku", Value.Tint); ("price", Value.Tint) ])
+      (List.init 96 (fun i -> [ Value.Int i; Value.Int (7 * i mod 500) ]))
+  in
+  let dummy = Relation.of_rows (Schema.of_list [ ("x", Value.Tint) ]) [ [ Value.Int 0 ] ] in
+  Env.two_source ~params:fast ~seed:31 ~left:("Inventory", inventory) ~right:("Dummy", dummy) ()
+
+let golden_side_paths =
+  let setop ?on op () = run_setop ?on op in
+  let agg ?strategy query () = run_agg ?strategy query in
+  let select k () =
+    let env = golden_inventory_env () in
+    let client = Env.make_client env ~identity:"sel" ~properties:[ [] ] in
+    Select_query.run ~strategy:(Das_partition.Equi_depth k) env client
+      ~query:"select * from Inventory where price < 180"
+  in
+  let scalar = "select count(*), sum(amount) from Customers natural join Orders" in
+  [
+    ("intersection", setop Set_ops.Intersection, "68832f3dc9e6293d045a11e8d81b0e2f");
+    ("difference", setop Set_ops.Difference, "a5198314836e2b15a2abfc5046770453");
+    ("semi-join", setop ~on:[ "part" ] Set_ops.Semi_join, "0d84bec1ffef91017fa11e3c35c61644");
+    ( "aggregate grouped",
+      agg
+        "select cust, count(*), sum(amount) as spent, min(amount), max(amount), avg(amount) \
+         from Customers natural join Orders group by cust",
+      "ab00bc5498aba008019676ac62224f09" );
+    ("aggregate scalar", agg scalar, "453e3b25a79bb2832abb202f7a397115");
+    ("aggregate homomorphic", agg ~strategy:Aggregate_join.Homomorphic scalar, "c3730f8d2f4357118164e527870d2d28");
+    ("select equi-depth 4", select 4, "4f74a5653394b7c9c47cce9cfa71055d");
+    ("select equi-depth 16", select 16, "15d17e3293516895467cdb02e1a94e83");
+    ("select equi-depth 64", select 64, "fdd0b87b747a1ce881b77361a38ce2f2");
+  ]
+
+let test_golden_side_paths () =
+  List.iter
+    (fun (name, run, expected) ->
+      let o = run () in
+      check_correct name o;
+      check_fingerprint name expected (side_path_fingerprint o))
+    golden_side_paths
+
 let () =
   Alcotest.run "core-protocols"
     [
@@ -1391,6 +1613,7 @@ let () =
           Alcotest.test_case "semi-join" `Quick test_semi_join;
           Alcotest.test_case "layout mismatch" `Quick test_setop_layout_mismatch;
           Alcotest.test_case "lean right source" `Quick test_setop_right_source_ships_no_tuples;
+          Alcotest.test_case "wrong client key" `Quick test_setop_wrong_key;
         ] );
       ( "das-internals",
         [
@@ -1405,6 +1628,7 @@ let () =
           Alcotest.test_case "end to end" `Quick test_select_query_end_to_end;
           Alcotest.test_case "superset behaviour" `Quick test_select_query_superset;
           Alcotest.test_case "unsupported shapes" `Quick test_select_query_unsupported;
+          Alcotest.test_case "wrong client key" `Quick test_select_wrong_key;
         ] );
       ( "aggregation",
         [
@@ -1417,6 +1641,8 @@ let () =
           Alcotest.test_case "unsupported shapes" `Quick test_aggregate_unsupported_shapes;
           Alcotest.test_case "agrees with join protocols" `Quick
             test_aggregate_via_join_protocols;
+          Alcotest.test_case "wrong client key" `Quick test_aggregate_wrong_key;
+          Alcotest.test_case "exchange hides key order" `Quick test_exchange_hides_key_order;
         ] );
       ( "leakage",
         [
@@ -1440,5 +1666,10 @@ let () =
           Alcotest.test_case "workload determinism" `Quick test_workload_deterministic;
           Alcotest.test_case "scheme names" `Quick test_protocol_names;
           Alcotest.test_case "outcome accessors" `Quick test_outcome_accessors;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "commutative outcomes" `Quick test_golden_commutative;
+          Alcotest.test_case "side-path outcomes" `Quick test_golden_side_paths;
         ] );
     ]

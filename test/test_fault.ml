@@ -518,6 +518,27 @@ let prop_differential_under_faults =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* An escaped typed failure prints its phase, party and reason, not
+   "Fault_detected(_)". *)
+
+let test_failure_printers () =
+  let f = { Fault.phase = "mediator-match"; party = Transcript.Source 2; reason = "stale key" } in
+  let expect name exn =
+    let printed = Printexc.to_string exn in
+    List.iter
+      (fun part ->
+        if not (contains printed part) then
+          Alcotest.failf "%s printed as %S, missing %S" name printed part)
+      [ name; "mediator-match"; "Source2"; "stale key" ]
+  in
+  expect "Fault.Fault_detected" (Fault.Fault_detected f);
+  expect "Endpoint.Aborted" (Secmed_net.Endpoint.Aborted f);
+  expect "Protocol.Faulted"
+    (Protocol.Faulted
+       { Protocol.phase = f.Fault.phase; party = f.Fault.party; reason = f.Fault.reason;
+         attempts = 3 })
+
 let () =
   Alcotest.run "fault"
     [
@@ -543,6 +564,8 @@ let () =
         ] );
       ( "byzantine",
         [ Alcotest.test_case "all modes detected" `Quick test_byzantine_detected ] );
+      ( "printers",
+        [ Alcotest.test_case "typed failures print" `Quick test_failure_printers ] );
       ( "outcome-edges",
         [
           Alcotest.test_case "empty join" `Quick test_outcome_empty_join;
