@@ -49,22 +49,23 @@ check-net:
 
 # Sustained-load serving suite: the deterministic loadgen fleet against
 # a forked loopback cluster (64 verified sessions, typed backpressure,
-# domain-parallel mux consumers), then a smoke concurrency sweep of the
-# BENCH_serve.json emitter (fails if its failover soak records a
-# violation).
+# domain-parallel mux consumers), then three smoke concurrency sweeps in
+# a row of the BENCH_serve.json emitter, each failing if its failover
+# soak records a violation.  Any failing run fails the target.
 check-serve:
 	dune exec test/test_serve.exe -- test -e
-	dune exec bench/main.exe -- json-serve --smoke
+	for i in 1 2 3; do dune exec bench/main.exe -- json-serve --smoke || exit 1; done
 
 # Crash/restart chaos suite: the pure-schedule and smoke-soak tests,
-# then a seeded CLI soak — real SIGKILLs against source replicas and a
-# SIGTERM drain-restart of the mediator under a verifying fleet — that
-# must hold every robustness invariant (exit 0) and leaves its
-# machine-readable transition log as a CI artifact.
+# then a seeded CLI soak, three times in a row — real SIGKILLs against
+# source replicas and a SIGTERM drain-restart of the mediator under a
+# verifying fleet — each of which must hold every robustness invariant
+# (exit 0); the last leaves its machine-readable transition log as a CI
+# artifact.  Any failing run fails the target.
 check-soak:
 	dune exec test/test_soak.exe -- test -e
-	dune exec bin/secmed.exe -- soak --fast --workers 2 --sessions 3 --kills 2 \
-	    --drains 1 --rate 6 --log SOAK_transitions.jsonl
+	for i in 1 2 3; do dune exec bin/secmed.exe -- soak --fast --workers 2 --sessions 3 \
+	    --kills 2 --drains 1 --rate 6 --log SOAK_transitions.jsonl || exit 1; done
 
 # Streaming-delivery suite: chunk codec / reassembly / credit-flow
 # units, the sharded-vs-single differential (k=4, all five schemes,

@@ -461,13 +461,9 @@ let serve_cmd =
                     (List.map (fun (h, p) -> Printf.sprintf "%s:%d" h p) replicas))
                 shards)))
       sources;
-    let server =
-      Net.Server.create ~env ~client ~scenario ~sources ~listen_fd ~policy ~max_sessions
-        ~io_timeout ~source_conns ?workers ~drain_deadline ~health_interval ()
-    in
-    Sys.set_signal Sys.sigterm
-      (Sys.Signal_handle (fun _ -> Net.Server.begin_drain server));
-    Net.Server.serve server
+    Net.Server.serve
+      (Net.Server.create ~env ~client ~scenario ~sources ~listen_fd ~policy ~max_sessions
+         ~io_timeout ~source_conns ?workers ~drain_deadline ~health_interval ())
   in
   let term =
     Term.(const action $ bind_arg $ port $ source $ max_sessions $ source_conns $ workers
@@ -519,8 +515,7 @@ let source_cmd =
       (if k > 1 then Printf.sprintf " shard %d/%d" j k else "")
       bind bound
       (String.sub scenario 0 12);
-    Net.Peer.source ~id ~env ~client ~scenario ~listen_fd ~shard ~io_timeout ~drain_deadline
-      ~drain_on_sigterm:true ()
+    Net.Peer.source ~id ~env ~client ~scenario ~listen_fd ~shard ~io_timeout ~drain_deadline ()
   in
   let term =
     Term.(const action $ bind_arg $ id $ port $ shard_arg $ io_timeout_arg $ drain_deadline

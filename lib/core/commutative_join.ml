@@ -1,6 +1,5 @@
 open Secmed_bigint
 open Secmed_crypto
-open Secmed_relalg
 open Secmed_mediation
 
 let group_bytes group = (group.Group.bits + 7) / 8
@@ -168,86 +167,55 @@ let exchange b link env ~stream ~use_ids ~left:(s1, entries1) ~right:(s2, entrie
   { pairs; left_payloads = payloads sealed1; right_payloads = payloads sealed2 }
 
 let run ?fault ?endpoint ?(use_ids = false) env client ~query =
-  let b = Outcome.Builder.create ~scheme:"commutative" in
-  let tr = Outcome.Builder.transcript b in
-  Fault.attach fault tr;
-  let link = Link.make ?endpoint ?fault tr in
-  let (result, exact, received), counters =
-    Counters.with_fresh (fun () ->
-        let request =
-          Outcome.Builder.timed b ~party:"Mediator" "request" (fun () -> Request.run link env client ~query)
-        in
-        let exact = Request.exact_result env request in
-        let pk = request.Request.client_pk in
-        let d = request.Request.decomposition in
-        (* Steps 1-7, each Tup_i(a) hybrid-encrypted as a's payload. *)
-        let entries which =
-          List.map
-            (fun (a, tuples) ->
-              ( a,
-                Some
-                  (fun prng ->
-                    Hybrid.to_wire (Hybrid.encrypt prng pk (Join_key.encode_tuple_set tuples))) ))
-            (Request.groups request which)
-        in
-        let m =
-          exchange b link env ~stream:"comm-source" ~use_ids
-            ~left:(d.Catalog.left.Catalog.source, entries `Left)
-            ~right:(d.Catalog.right.Catalog.source, entries `Right)
-        in
-        (* With IDs the mediator resolves them back to the ciphertexts it
-           retained; without, the ciphertexts travelled with the hashes. *)
-        let result_messages =
-          List.map (fun (i, j) -> (m.left_payloads.(i), m.right_payloads.(j))) m.pairs
-        in
-        Link.deliver_rows link ~phase:"client-postprocess" ~sender:Mediator ~receiver:Client
-          ~label:"result-messages"
-          ~size:
-            (List.fold_left
-               (fun acc (a, c) -> acc + String.length a + String.length c)
-               0 result_messages)
-          (fun () -> List.map (fun (a, c) -> a ^ c) result_messages);
+  Outcome.Builder.run ~scheme:"commutative" ?fault ?endpoint (fun b link ->
+      let request = Request.run b link env client ~query in
+      let exact = Request.exact_result request in
+      let pk = request.Request.client_pk in
+      let d = request.Request.decomposition in
+      (* Steps 1-7, each Tup_i(a) hybrid-encrypted as a's payload. *)
+      let entries which =
+        List.map
+          (fun (a, tuples) ->
+            ( a,
+              Some
+                (fun prng ->
+                  Hybrid.to_wire (Hybrid.encrypt prng pk (Join_key.encode_tuple_set tuples))) ))
+          (Request.groups request which)
+      in
+      let m =
+        exchange b link env ~stream:"comm-source" ~use_ids
+          ~left:(d.Catalog.left.Catalog.source, entries `Left)
+          ~right:(d.Catalog.right.Catalog.source, entries `Right)
+      in
+      (* With IDs the mediator resolves them back to the ciphertexts it
+         retained; without, the ciphertexts travelled with the hashes. *)
+      let result_messages =
+        List.map (fun (i, j) -> (m.left_payloads.(i), m.right_payloads.(j))) m.pairs
+      in
+      Link.deliver_rows link ~phase:"client-postprocess" ~sender:Mediator ~receiver:Client
+        ~label:"result-messages"
+        ~size:
+          (List.fold_left
+             (fun acc (a, c) -> acc + String.length a + String.length c)
+             0 result_messages)
+        (fun () -> List.map (fun (a, c) -> a ^ c) result_messages);
 
-        (* Step 8: the client decrypts and combines the tuple sets. *)
-        let join_attrs = Request.join_attrs request in
-        let right_schema = Relation.schema request.Request.right_result in
-        let pos_right = Join_key.positions right_schema join_attrs in
-        let keep_right =
-          Array.of_list
-            (List.filter
-               (fun i -> not (Array.exists (Int.equal i) pos_right))
-               (List.init (Schema.arity right_schema) Fun.id))
-        in
-        let joined_schema =
-          Schema.append
-            (Relation.schema request.Request.left_result)
-            (Schema.make (List.map (Schema.attr_at right_schema) (Array.to_list keep_right)))
-        in
-        let decrypt_set label ct =
-          match Hybrid.decrypt client.Env.key (Hybrid.of_wire ct) with
-          | Some blob -> Join_key.decode_tuple_set blob
-          | None ->
-            Fault.fail ~phase:"client-postprocess" ~party:Client
-              ("authentication failure on " ^ label)
-        in
-        let received = ref 0 in
-        let result =
-          Outcome.Builder.timed b ~party:"Client" "client-postprocess" (fun () ->
-              let joined =
-                List.concat_map
-                  (fun (ct1, ct2) ->
-                    let tup1 = decrypt_set "Tup1" ct1 and tup2 = decrypt_set "Tup2" ct2 in
-                    received := !received + (List.length tup1 * List.length tup2);
-                    List.concat_map
-                      (fun t1 ->
-                        List.map (fun t2 -> Tuple.append t1 (Tuple.project keep_right t2)) tup2)
-                      tup1)
-                  result_messages
-              in
-              Request.finalize request (Relation.make joined_schema joined))
-        in
-        Outcome.Builder.client_sees b "result-messages-received" (List.length result_messages);
-        Outcome.Builder.attribute b (Counters.attribution ());
-        (result, exact, !received))
-  in
-  Outcome.Builder.finish b ~result ~exact ~client_received_tuples:received ~counters
+      (* Step 8: the client decrypts and combines the tuple sets. *)
+      let decrypt_set label ct =
+        Join_key.decode_tuple_set
+          (Request.decrypt ~phase:"client-postprocess" ~party:Client client.Env.key label
+             (Hybrid.of_wire ct))
+      in
+      let received = ref 0 in
+      let result =
+        Outcome.Builder.timed b ~party:"Client" "client-postprocess" (fun () ->
+            Request.client_join request
+              (List.map
+                 (fun (ct1, ct2) ->
+                   let tup1 = decrypt_set "Tup1" ct1 and tup2 = decrypt_set "Tup2" ct2 in
+                   received := !received + (List.length tup1 * List.length tup2);
+                   (tup1, tup2))
+                 result_messages))
+      in
+      Outcome.Builder.client_sees b "result-messages-received" (List.length result_messages);
+      (result, exact, !received))

@@ -11,6 +11,13 @@ type encrypted_relation = {
   wire_size : int;
 }
 
+let index_tables strategy ~relation attrs rel =
+  List.map
+    (fun attr ->
+      let column = Relation.column rel attr in
+      Das_partition.build (Das_partition.adapt strategy column) ~relation ~attr column)
+    attrs
+
 let encrypt_relation ?domains prng pk tables ~join_attrs relation =
   let positions = Join_key.positions (Relation.schema relation) join_attrs in
   let tables = Array.of_list tables in
@@ -144,12 +151,6 @@ let server_join eval per_attr_pairs left right =
         | _ -> assert false)
       (Relation.tuples rc)
 
-let decrypt_or_fail ~phase ~party sk label ct =
-  match Hybrid.decrypt sk ct with
-  | Some plain -> plain
-  | None ->
-    Fault.fail ~phase ~party (Printf.sprintf "authentication failure decrypting %s" label)
-
 (* Wire bundle of one source's encrypted index tables. *)
 let tables_to_wire tables =
   let w = Wire.writer () in
@@ -247,240 +248,209 @@ let run ?fault ?endpoint ?(strategy = Das_partition.Equi_depth 4) ?(server_eval 
     | Client_setting -> "das"
     | Source_setting | Mediator_setting -> "das/" ^ setting_name setting
   in
-  let b = Outcome.Builder.create ~scheme in
-  let tr = Outcome.Builder.transcript b in
-  Fault.attach fault tr;
-  let link = Link.make ?endpoint ?fault tr in
-  let (result, exact, received), counters =
-    Counters.with_fresh (fun () ->
-        let request =
-          Outcome.Builder.timed b ~party:"Mediator" "request" (fun () -> Request.run link env client ~query)
-        in
-        let exact = Request.exact_result env request in
-        let join_attrs = Request.join_attrs request in
-        let pk = request.Request.client_pk in
+  Outcome.Builder.run ~scheme ?fault ?endpoint (fun b link ->
+      let request = Request.run b link env client ~query in
+      let exact = Request.exact_result request in
+      let join_attrs = Request.join_attrs request in
+      let pk = request.Request.client_pk in
 
-        (* Listing 2, steps 1-3 at each source: partition every join
-           attribute and encrypt the partial result DAS-style.  Where the
-           index tables go — and under which key — depends on the
-           translator placement. *)
-        let source_side which (entry : Catalog.entry) relation =
-          let prng = Env.prng_for env (Printf.sprintf "das-source-%d" entry.Catalog.source) in
-          Outcome.Builder.timed b
-            ~party:(Transcript.party_name (Source entry.Catalog.source)) "source-encrypt"
-            (fun () ->
-              let tables =
-                List.map
-                  (fun attr ->
-                    let column = Relation.column relation attr in
-                    Das_partition.build
-                      (Das_partition.adapt strategy column)
-                      ~relation:entry.Catalog.relation ~attr column)
-                  join_attrs
-              in
-              let encrypted = encrypt_relation prng pk tables ~join_attrs relation in
-              ignore which;
-              let encrypted =
-                apply_byzantine (Fault.byzantine_mode fault entry.Catalog.source) encrypted
-              in
-              (prng, tables, encrypted))
-        in
-        (* One upload per source: the encrypted rows plus this setting's
-           form of the index tables (so sources still "send data once"). *)
-        let record_upload sid which ~rows_size ?(tables_payload = 0)
-            ?(tables_wire = fun () -> "") ~rows () =
-          Link.deliver_rows link ~phase:"source-upload" ~sender:(Source sid)
-            ~receiver:Mediator
-            ~label:(Printf.sprintf "R%dS+ITables" which)
-            ~size:(rows_size + tables_payload)
-            (fun () ->
-              match tables_wire () with
-              | "" -> er_rows rows
-              | tables -> er_rows rows @ [ tables ])
-        in
-        let s1 = request.Request.decomposition.Catalog.left.Catalog.source in
-        let s2 = request.Request.decomposition.Catalog.right.Catalog.source in
-        let prng1, tables1, r1s =
-          source_side 1 request.Request.decomposition.Catalog.left request.Request.left_result
-        in
-        let prng2, tables2, r2s =
-          source_side 2 request.Request.decomposition.Catalog.right
-            request.Request.right_result
-        in
-        (* The tuple-wise encryption reveals the partial result sizes to
-           the mediator. *)
-        Outcome.Builder.mediator_sees b "cardinality-R1S" (List.length r1s.rows);
-        Outcome.Builder.mediator_sees b "cardinality-R2S" (List.length r2s.rows);
+      (* Listing 2, steps 1-3 at each source: partition every join
+         attribute and encrypt the partial result DAS-style.  Where the
+         index tables go — and under which key — depends on the
+         translator placement. *)
+      let source_side (entry : Catalog.entry) relation =
+        let prng = Env.prng_for env (Printf.sprintf "das-source-%d" entry.Catalog.source) in
+        Outcome.Builder.timed b
+          ~party:(Transcript.party_name (Source entry.Catalog.source)) "source-encrypt"
+          (fun () ->
+            let tables =
+              index_tables strategy ~relation:entry.Catalog.relation join_attrs relation
+            in
+            let encrypted = encrypt_relation prng pk tables ~join_attrs relation in
+            let encrypted =
+              apply_byzantine (Fault.byzantine_mode fault entry.Catalog.source) encrypted
+            in
+            (prng, tables, encrypted))
+      in
+      (* One upload per source: the encrypted rows plus this setting's
+         form of the index tables (so sources still "send data once"). *)
+      let record_upload sid which ~rows_size ?(tables_payload = 0)
+          ?(tables_wire = fun () -> "") ~rows () =
+        Link.deliver_rows link ~phase:"source-upload" ~sender:(Source sid)
+          ~receiver:Mediator
+          ~label:(Printf.sprintf "R%dS+ITables" which)
+          ~size:(rows_size + tables_payload)
+          (fun () ->
+            match tables_wire () with
+            | "" -> er_rows rows
+            | tables -> er_rows rows @ [ tables ])
+      in
+      let s1 = request.Request.decomposition.Catalog.left.Catalog.source in
+      let s2 = request.Request.decomposition.Catalog.right.Catalog.source in
+      let prng1, tables1, r1s =
+        source_side request.Request.decomposition.Catalog.left request.Request.left_result
+      in
+      let prng2, tables2, r2s =
+        source_side request.Request.decomposition.Catalog.right
+          request.Request.right_result
+      in
+      (* The tuple-wise encryption reveals the partial result sizes to
+         the mediator. *)
+      Outcome.Builder.mediator_sees b "cardinality-R1S" (List.length r1s.rows);
+      Outcome.Builder.mediator_sees b "cardinality-R2S" (List.length r2s.rows);
 
-        (* Steps 4/5: route the index tables to the translator, which
-           derives the server query q_S. *)
-        let per_attr_pairs =
-          match setting with
-          | Client_setting ->
-            (* Tables encrypted for the client; client translates. *)
-            let enc_it1 =
-              Outcome.Builder.timed b ~party:(Transcript.party_name (Source s1))
-                "source-encrypt" (fun () -> Hybrid.encrypt prng1 pk (tables_to_wire tables1))
-            in
-            let enc_it2 =
-              Outcome.Builder.timed b ~party:(Transcript.party_name (Source s2))
-                "source-encrypt" (fun () -> Hybrid.encrypt prng2 pk (tables_to_wire tables2))
-            in
-            record_upload s1 1 ~rows_size:r1s.wire_size ~tables_payload:(Hybrid.size enc_it1)
-              ~tables_wire:(fun () -> Hybrid.to_wire enc_it1) ~rows:r1s ();
-            record_upload s2 2 ~rows_size:r2s.wire_size ~tables_payload:(Hybrid.size enc_it2)
-              ~tables_wire:(fun () -> Hybrid.to_wire enc_it2) ~rows:r2s ();
-            Link.deliver link ~phase:"client-translate" ~sender:Mediator ~receiver:Client
-              ~label:"enc(ITables_R1)" ~size:(Hybrid.size enc_it1)
-              (fun () -> Hybrid.to_wire enc_it1);
-            Link.deliver link ~phase:"client-translate" ~sender:Mediator ~receiver:Client
-              ~label:"enc(ITables_R2)" ~size:(Hybrid.size enc_it2)
-              (fun () -> Hybrid.to_wire enc_it2);
-            let pairs =
-              Outcome.Builder.timed b ~party:"Client" "client-translate" (fun () ->
-                  let it1 =
-                    tables_of_wire
-                      (decrypt_or_fail ~phase:"client-translate" ~party:Client client.Env.key
-                         "ITables_R1" enc_it1)
-                  in
-                  let it2 =
-                    tables_of_wire
-                      (decrypt_or_fail ~phase:"client-translate" ~party:Client client.Env.key
-                         "ITables_R2" enc_it2)
-                  in
-                  Outcome.Builder.client_sees b "partitions-R1" (partition_count_sum it1);
-                  Outcome.Builder.client_sees b "partitions-R2" (partition_count_sum it2);
-                  server_query_pairs ~left_tables:it1 ~right_tables:it2)
-            in
-            let total = List.fold_left (fun acc p -> acc + List.length p) 0 pairs in
-            Link.deliver link ~phase:"mediator-server-query" ~sender:Client
-              ~receiver:Mediator ~label:"server-query-qS" ~size:(16 * total)
-              (fun () -> pairs_payload pairs);
-            pairs
-          | Source_setting ->
-            (* S2's tables travel, encrypted under S1's source key, to S1,
-               which translates — learning S2's partition structure. *)
-            let s1_keys = source_keypair env s1 in
-            let enc_it2 =
-              Outcome.Builder.timed b ~party:(Transcript.party_name (Source s2))
-                "source-encrypt" (fun () ->
-                  Hybrid.encrypt prng2 (Elgamal.public s1_keys) (tables_to_wire tables2))
-            in
-            record_upload s1 1 ~rows_size:r1s.wire_size ~rows:r1s ();
-            record_upload s2 2 ~rows_size:r2s.wire_size ~tables_payload:(Hybrid.size enc_it2)
-              ~tables_wire:(fun () -> Hybrid.to_wire enc_it2) ~rows:r2s ();
-            Link.deliver link ~phase:"source-translate" ~sender:Mediator
-              ~receiver:(Source s1) ~label:"enc_S1(ITables_R2)" ~size:(Hybrid.size enc_it2)
-              (fun () -> Hybrid.to_wire enc_it2);
-            let pairs =
-              Outcome.Builder.timed b ~party:(Transcript.party_name (Source s1)) "source-translate" (fun () ->
-                  let it2 =
-                    tables_of_wire
-                      (decrypt_or_fail ~phase:"source-translate" ~party:(Source s1) s1_keys
-                         "ITables_R2" enc_it2)
-                  in
-                  Outcome.Builder.source_sees b s1 "partitions-R2" (partition_count_sum it2);
-                  server_query_pairs ~left_tables:tables1 ~right_tables:it2)
-            in
-            let total = List.fold_left (fun acc p -> acc + List.length p) 0 pairs in
-            Link.deliver link ~phase:"mediator-server-query" ~sender:(Source s1)
-              ~receiver:Mediator ~label:"server-query-qS" ~size:(16 * total)
-              (fun () -> pairs_payload pairs);
-            pairs
-          | Mediator_setting ->
-            (* Tables in plaintext at the mediator — cheapest, but the
-               mediator can now approximate every tuple's join value
-               (the paper's Section 6 warning). *)
-            record_upload s1 1 ~rows_size:r1s.wire_size
-              ~tables_payload:(String.length (tables_to_wire tables1))
-              ~tables_wire:(fun () -> tables_to_wire tables1) ~rows:r1s ();
-            record_upload s2 2 ~rows_size:r2s.wire_size
-              ~tables_payload:(String.length (tables_to_wire tables2))
-              ~tables_wire:(fun () -> tables_to_wire tables2) ~rows:r2s ();
-            Outcome.Builder.mediator_sees b "partitions-R1" (partition_count_sum tables1);
-            Outcome.Builder.mediator_sees b "partitions-R2" (partition_count_sum tables2);
-            (* Measured value approximation: entropy of the index values
-               it holds, in centibits per tuple. *)
-            let centibits tables relation =
-              List.fold_left
-                (fun acc table ->
-                  acc
-                  + int_of_float
-                      (100.0
-                      *. Das_partition.disclosure_bits table
-                           (Relation.column relation (Das_partition.attr table))))
-                0 tables
-            in
-            Outcome.Builder.mediator_sees b "approx-value-centibits-R1"
-              (centibits tables1 request.Request.left_result);
-            Outcome.Builder.mediator_sees b "approx-value-centibits-R2"
-              (centibits tables2 request.Request.right_result);
-            Outcome.Builder.timed b ~party:"Mediator" "mediator-translate" (fun () ->
-                server_query_pairs ~left_tables:tables1 ~right_tables:tables2)
-        in
-        let total_pairs = List.fold_left (fun acc p -> acc + List.length p) 0 per_attr_pairs in
+      (* Steps 4/5: route the index tables to the translator, which
+         derives the server query q_S. *)
+      let per_attr_pairs =
+        match setting with
+        | Client_setting ->
+          (* Tables encrypted for the client; client translates. *)
+          let enc_it1 =
+            Outcome.Builder.timed b ~party:(Transcript.party_name (Source s1))
+              "source-encrypt" (fun () -> Hybrid.encrypt prng1 pk (tables_to_wire tables1))
+          in
+          let enc_it2 =
+            Outcome.Builder.timed b ~party:(Transcript.party_name (Source s2))
+              "source-encrypt" (fun () -> Hybrid.encrypt prng2 pk (tables_to_wire tables2))
+          in
+          record_upload s1 1 ~rows_size:r1s.wire_size ~tables_payload:(Hybrid.size enc_it1)
+            ~tables_wire:(fun () -> Hybrid.to_wire enc_it1) ~rows:r1s ();
+          record_upload s2 2 ~rows_size:r2s.wire_size ~tables_payload:(Hybrid.size enc_it2)
+            ~tables_wire:(fun () -> Hybrid.to_wire enc_it2) ~rows:r2s ();
+          Link.deliver link ~phase:"client-translate" ~sender:Mediator ~receiver:Client
+            ~label:"enc(ITables_R1)" ~size:(Hybrid.size enc_it1)
+            (fun () -> Hybrid.to_wire enc_it1);
+          Link.deliver link ~phase:"client-translate" ~sender:Mediator ~receiver:Client
+            ~label:"enc(ITables_R2)" ~size:(Hybrid.size enc_it2)
+            (fun () -> Hybrid.to_wire enc_it2);
+          let pairs =
+            Outcome.Builder.timed b ~party:"Client" "client-translate" (fun () ->
+                let it1 =
+                  tables_of_wire
+                    (Request.decrypt ~phase:"client-translate" ~party:Client client.Env.key
+                       "ITables_R1" enc_it1)
+                in
+                let it2 =
+                  tables_of_wire
+                    (Request.decrypt ~phase:"client-translate" ~party:Client client.Env.key
+                       "ITables_R2" enc_it2)
+                in
+                Outcome.Builder.client_sees b "partitions-R1" (partition_count_sum it1);
+                Outcome.Builder.client_sees b "partitions-R2" (partition_count_sum it2);
+                server_query_pairs ~left_tables:it1 ~right_tables:it2)
+          in
+          let total = List.fold_left (fun acc p -> acc + List.length p) 0 pairs in
+          Link.deliver link ~phase:"mediator-server-query" ~sender:Client
+            ~receiver:Mediator ~label:"server-query-qS" ~size:(16 * total)
+            (fun () -> pairs_payload pairs);
+          pairs
+        | Source_setting ->
+          (* S2's tables travel, encrypted under S1's source key, to S1,
+             which translates — learning S2's partition structure. *)
+          let s1_keys = source_keypair env s1 in
+          let enc_it2 =
+            Outcome.Builder.timed b ~party:(Transcript.party_name (Source s2))
+              "source-encrypt" (fun () ->
+                Hybrid.encrypt prng2 (Elgamal.public s1_keys) (tables_to_wire tables2))
+          in
+          record_upload s1 1 ~rows_size:r1s.wire_size ~rows:r1s ();
+          record_upload s2 2 ~rows_size:r2s.wire_size ~tables_payload:(Hybrid.size enc_it2)
+            ~tables_wire:(fun () -> Hybrid.to_wire enc_it2) ~rows:r2s ();
+          Link.deliver link ~phase:"source-translate" ~sender:Mediator
+            ~receiver:(Source s1) ~label:"enc_S1(ITables_R2)" ~size:(Hybrid.size enc_it2)
+            (fun () -> Hybrid.to_wire enc_it2);
+          let pairs =
+            Outcome.Builder.timed b ~party:(Transcript.party_name (Source s1)) "source-translate" (fun () ->
+                let it2 =
+                  tables_of_wire
+                    (Request.decrypt ~phase:"source-translate" ~party:(Source s1) s1_keys
+                       "ITables_R2" enc_it2)
+                in
+                Outcome.Builder.source_sees b s1 "partitions-R2" (partition_count_sum it2);
+                server_query_pairs ~left_tables:tables1 ~right_tables:it2)
+          in
+          let total = List.fold_left (fun acc p -> acc + List.length p) 0 pairs in
+          Link.deliver link ~phase:"mediator-server-query" ~sender:(Source s1)
+            ~receiver:Mediator ~label:"server-query-qS" ~size:(16 * total)
+            (fun () -> pairs_payload pairs);
+          pairs
+        | Mediator_setting ->
+          (* Tables in plaintext at the mediator — cheapest, but the
+             mediator can now approximate every tuple's join value
+             (the paper's Section 6 warning). *)
+          record_upload s1 1 ~rows_size:r1s.wire_size
+            ~tables_payload:(String.length (tables_to_wire tables1))
+            ~tables_wire:(fun () -> tables_to_wire tables1) ~rows:r1s ();
+          record_upload s2 2 ~rows_size:r2s.wire_size
+            ~tables_payload:(String.length (tables_to_wire tables2))
+            ~tables_wire:(fun () -> tables_to_wire tables2) ~rows:r2s ();
+          Outcome.Builder.mediator_sees b "partitions-R1" (partition_count_sum tables1);
+          Outcome.Builder.mediator_sees b "partitions-R2" (partition_count_sum tables2);
+          (* Measured value approximation: entropy of the index values
+             it holds, in centibits per tuple. *)
+          let centibits tables relation =
+            List.fold_left
+              (fun acc table ->
+                acc
+                + int_of_float
+                    (100.0
+                    *. Das_partition.disclosure_bits table
+                         (Relation.column relation (Das_partition.attr table))))
+              0 tables
+          in
+          Outcome.Builder.mediator_sees b "approx-value-centibits-R1"
+            (centibits tables1 request.Request.left_result);
+          Outcome.Builder.mediator_sees b "approx-value-centibits-R2"
+            (centibits tables2 request.Request.right_result);
+          Outcome.Builder.timed b ~party:"Mediator" "mediator-translate" (fun () ->
+              server_query_pairs ~left_tables:tables1 ~right_tables:tables2)
+      in
+      let total_pairs = List.fold_left (fun acc p -> acc + List.length p) 0 per_attr_pairs in
 
-        (* Step 6: the mediator evaluates q_S over the encrypted relations
-           and returns R_C. *)
-        let rc =
-          Outcome.Builder.timed b ~party:"Mediator" "mediator-server-query" (fun () ->
-              validate_indexes 1 r1s;
-              validate_indexes 2 r2s;
-              server_join server_eval per_attr_pairs r1s r2s)
-        in
-        Outcome.Builder.mediator_sees b "condition-size-qS" total_pairs;
-        Outcome.Builder.mediator_sees b "cardinality-RC" (List.length rc);
-        let rc_size =
-          List.fold_left (fun acc (x, y) -> acc + Hybrid.size x + Hybrid.size y) 0 rc
-        in
-        Link.deliver_rows link ~phase:"client-postprocess" ~sender:Mediator ~receiver:Client
-          ~label:"RC" ~size:rc_size
-          (fun () -> List.map (fun (x, y) -> Hybrid.to_wire x ^ Hybrid.to_wire y) rc);
-        Outcome.Builder.client_sees b "candidate-pairs-received" (List.length rc);
+      (* Step 6: the mediator evaluates q_S over the encrypted relations
+         and returns R_C. *)
+      let rc =
+        Outcome.Builder.timed b ~party:"Mediator" "mediator-server-query" (fun () ->
+            validate_indexes 1 r1s;
+            validate_indexes 2 r2s;
+            server_join server_eval per_attr_pairs r1s r2s)
+      in
+      Outcome.Builder.mediator_sees b "condition-size-qS" total_pairs;
+      Outcome.Builder.mediator_sees b "cardinality-RC" (List.length rc);
+      let rc_size =
+        List.fold_left (fun acc (x, y) -> acc + Hybrid.size x + Hybrid.size y) 0 rc
+      in
+      Link.deliver_rows link ~phase:"client-postprocess" ~sender:Mediator ~receiver:Client
+        ~label:"RC" ~size:rc_size
+        (fun () -> List.map (fun (x, y) -> Hybrid.to_wire x ^ Hybrid.to_wire y) rc);
+      Outcome.Builder.client_sees b "candidate-pairs-received" (List.length rc);
 
-        (* Step 7: the client decrypts R_C and applies q_C. *)
-        let result =
-          Outcome.Builder.timed b ~party:"Client" "client-postprocess" (fun () ->
-              let left_schema = Relation.schema request.Request.left_result in
-              let right_schema = Relation.schema request.Request.right_result in
-              let pos_left = Join_key.positions left_schema join_attrs in
-              let pos_right = Join_key.positions right_schema join_attrs in
-              let keep_right =
-                Array.of_list
-                  (List.filter
-                     (fun i -> not (Array.exists (Int.equal i) pos_right))
-                     (List.init (Schema.arity right_schema) Fun.id))
-              in
-              let joined_schema =
-                Schema.append left_schema
-                  (Schema.make
-                     (List.map (Schema.attr_at right_schema) (Array.to_list keep_right)))
-              in
-              let joined =
-                List.filter_map
-                  (fun (ct1, ct2) ->
-                    let t1 =
-                      Tuple.decode
-                        (decrypt_or_fail ~phase:"client-postprocess" ~party:Client
-                           client.Env.key "etuple1" ct1)
-                    in
-                    let t2 =
-                      Tuple.decode
-                        (decrypt_or_fail ~phase:"client-postprocess" ~party:Client
-                           client.Env.key "etuple2" ct2)
-                    in
-                    (* q_C : R1.A_join = R2.A_join on the plaintexts. *)
-                    if
-                      Join_key.equal
-                        (Join_key.of_tuple pos_left t1)
-                        (Join_key.of_tuple pos_right t2)
-                    then Some (Tuple.append t1 (Tuple.project keep_right t2))
-                    else None)
-                  rc
-              in
-              Request.finalize request (Relation.make joined_schema joined))
-        in
-        Outcome.Builder.attribute b (Counters.attribution ());
-        (result, exact, List.length rc))
-  in
-  Outcome.Builder.finish b ~result ~exact ~client_received_tuples:received ~counters
+      (* Step 7: the client decrypts R_C and applies q_C. *)
+      let result =
+        Outcome.Builder.timed b ~party:"Client" "client-postprocess" (fun () ->
+            let pos_left =
+              Join_key.positions (Relation.schema request.Request.left_result) join_attrs
+            in
+            let pos_right =
+              Join_key.positions (Relation.schema request.Request.right_result) join_attrs
+            in
+            let decrypt label ct =
+              Tuple.decode
+                (Request.decrypt ~phase:"client-postprocess" ~party:Client client.Env.key
+                   label ct)
+            in
+            Request.client_join request
+              (List.filter_map
+                 (fun (ct1, ct2) ->
+                   let t1 = decrypt "etuple1" ct1 in
+                   let t2 = decrypt "etuple2" ct2 in
+                   (* q_C : R1.A_join = R2.A_join on the plaintexts. *)
+                   if
+                     Join_key.equal
+                       (Join_key.of_tuple pos_left t1)
+                       (Join_key.of_tuple pos_right t2)
+                   then Some ([ t1 ], [ t2 ])
+                   else None)
+                 rc))
+      in
+      (result, exact, List.length rc))

@@ -68,6 +68,12 @@ type encrypted_relation = {
   wire_size : int;
 }
 
+val index_tables :
+  Das_partition.strategy -> relation:string -> string list -> Relation.t ->
+  Das_partition.t list
+(** Steps 1-2 at a source: per listed attribute, an index table over its
+    active domain, partitioned by the strategy (adapted to the column). *)
+
 val encrypt_relation :
   ?domains:int -> Prng.t -> Elgamal.public_key -> Das_partition.t list ->
   join_attrs:string list -> Relation.t -> encrypted_relation

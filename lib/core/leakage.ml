@@ -129,30 +129,47 @@ let exchange_claims (o : Outcome.t) (g : Ground_truth.t) =
            (fun obs -> List.assoc_opt "cardinality-domactive-opposite" obs));
   ]
 
+(* What every DAS run discloses (join or selection): the mediator counts
+   each tuple-wise encrypted relation ([relations]: description, true
+   size, observation key) and R_C, which the client receives — a
+   superset of the [exact]-tuple result. *)
+let das_claims (o : Outcome.t) ~relations ~exact ~result =
+  let mediator key = Outcome.observed o.Outcome.mediator_observed key in
+  let at_least n = function Some m when m >= n -> Some 1 | Some _ | None -> None in
+  List.map
+    (fun (description, expected, key) ->
+      claim ~subject:"mediator" ~description ~expected ~measured:(mediator key))
+    relations
+  @ [
+      claim ~subject:"mediator"
+        ~description:(Printf.sprintf "learns |RC|, an upper bound of the %s size" result)
+        ~expected:1
+        ~measured:(at_least exact (mediator "cardinality-RC"));
+      claim ~subject:"client" ~description:("receives a superset of the " ^ result)
+        ~expected:1
+        ~measured:(at_least exact (Some o.Outcome.client_received_tuples));
+    ]
+
 let verify (o : Outcome.t) ~(ground_truth : Ground_truth.t) =
   let g = ground_truth in
   let mediator key = Outcome.observed o.Outcome.mediator_observed key in
   let scheme = o.Outcome.scheme in
-  if String.length scheme >= 3 && String.sub scheme 0 3 = "das" then
-    [
-      claim ~subject:"mediator" ~description:"derives |R1| from tuple-wise encryption"
-        ~expected:g.Ground_truth.card_left ~measured:(mediator "cardinality-R1S");
-      claim ~subject:"mediator" ~description:"derives |R2|"
-        ~expected:g.Ground_truth.card_right ~measured:(mediator "cardinality-R2S");
-      claim ~subject:"mediator"
-        ~description:"learns |RC|, an upper bound of the global result size"
-        ~expected:1
-        ~measured:
-          (match mediator "cardinality-RC" with
-           | Some rc when rc >= g.Ground_truth.exact_join_pairs -> Some 1
-           | Some _ | None -> None);
-      claim ~subject:"client" ~description:"receives a superset of the global result"
-        ~expected:1
-        ~measured:
-          (if o.Outcome.client_received_tuples >= g.Ground_truth.exact_join_pairs then Some 1
-           else None);
-    ]
-  else if String.length scheme >= 11 && String.sub scheme 0 11 = "commutative" then
+  let has_prefix prefix = String.starts_with ~prefix scheme in
+  if String.equal scheme "das-select" then
+    das_claims o
+      ~relations:
+        [ ("derives |R| from tuple-wise encryption", g.Ground_truth.card_left, "cardinality-RS") ]
+      ~exact:(Secmed_relalg.Relation.cardinality o.Outcome.exact)
+      ~result:"result"
+  else if has_prefix "das" then
+    das_claims o
+      ~relations:
+        [
+          ("derives |R1| from tuple-wise encryption", g.Ground_truth.card_left, "cardinality-R1S");
+          ("derives |R2|", g.Ground_truth.card_right, "cardinality-R2S");
+        ]
+      ~exact:g.Ground_truth.exact_join_pairs ~result:"global result"
+  else if has_prefix "commutative" then
     exchange_claims o g
     @ [
         claim ~subject:"client" ~description:"receives only the exact global result"
@@ -161,9 +178,9 @@ let verify (o : Outcome.t) ~(ground_truth : Ground_truth.t) =
       ]
   else if
     List.exists (String.equal scheme) [ "intersection"; "semi-join"; "difference" ]
-    || (String.length scheme >= 9 && String.sub scheme 0 9 = "aggregate")
+    || has_prefix "aggregate"
   then exchange_claims o g
-  else if String.length scheme >= 2 && String.sub scheme 0 2 = "pm" then
+  else if has_prefix "pm" then
     [
       claim ~subject:"mediator" ~description:"learns |domactive(R1.Ajoin)| from the degree of P1"
         ~expected:g.Ground_truth.domactive_left

@@ -25,8 +25,10 @@ type claim = {
 val verify : Outcome.t -> ground_truth:Ground_truth.t -> claim list
 (** The paper's Table 1 claims instantiated for this run: e.g. in the DAS
     run the mediator must have been able to derive |R1|, |R2| and |RC|; in
-    the commutative run |domactive| and the intersection size.  A claim
-    with [measured = Some expected] holds. *)
+    the commutative run |domactive| and the intersection size.  A
+    selection ({!Select_query}, no join) is checked against
+    [ground_truth.card_left] as |R| and its own reference result.  A
+    claim with [measured = Some expected] holds. *)
 
 val all_hold : claim list -> bool
 val pp_claims : Format.formatter -> claim list -> unit

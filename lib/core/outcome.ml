@@ -56,7 +56,6 @@ module Builder = struct
     mutable client : (string * int) list;
     mutable sources : (int * (string * int) list) list;
     mutable timings : (string * float) list; (* reversed *)
-    mutable attributed_ : ((string * string) * (Counters.primitive * int) list) list;
   }
 
   let create ~scheme =
@@ -67,10 +66,7 @@ module Builder = struct
       client = [];
       sources = [];
       timings = [];
-      attributed_ = [];
     }
-
-  let attribute b attributed = b.attributed_ <- attributed
 
   let transcript b = b.transcript_
 
@@ -109,7 +105,17 @@ module Builder = struct
           finish ();
           raise e)
 
-  let finish b ~result ~exact ~client_received_tuples ~counters =
+  let run ~scheme ?fault ?endpoint body =
+    let b = create ~scheme in
+    Fault.attach fault b.transcript_;
+    let link = Link.make ?endpoint ?fault b.transcript_ in
+    let ((result, exact, client_received_tuples), attributed), counters =
+      Counters.with_fresh (fun () ->
+          let outputs = body b link in
+          (* Read inside the fresh scope, before the counter state is
+             restored. *)
+          (outputs, Counters.attribution ()))
+    in
     {
       scheme = b.scheme;
       result;
@@ -120,7 +126,7 @@ module Builder = struct
       sources_observed = List.sort compare b.sources;
       client_received_tuples;
       counters;
-      attributed = b.attributed_;
+      attributed;
       timings = List.rev b.timings;
       degraded_from = None;
     }

@@ -51,7 +51,23 @@ val pp_summary : Format.formatter -> t -> unit
 module Builder : sig
   type builder
 
+  val run :
+    scheme:string ->
+    ?fault:Fault.plan ->
+    ?endpoint:Link.endpoint ->
+    (builder -> Link.t -> Relation.t * Relation.t * int) ->
+    t
+  (** The frame every query driver runs in: a fresh builder and
+      transcript (with the fault plan attached), a link over them, and
+      fresh counters around the body, which returns the client's result,
+      the reference result and the client's received-tuple count.  The
+      outcome carries the body's primitive counts and their per-(party,
+      phase) attribution. *)
+
   val create : scheme:string -> builder
+  (** A bare builder, for driving one step (e.g.
+      {!Commutative_join.exchange}) outside {!run}. *)
+
   val transcript : builder -> Transcript.t
   val mediator_sees : builder -> string -> int -> unit
   val client_sees : builder -> string -> int -> unit
@@ -62,18 +78,4 @@ module Builder : sig
       the span carries a [party] attribute and the thunk runs inside
       {!Counters.scoped}, so crypto-primitive counts land on that
       (party, phase) pair. *)
-
-  val attribute :
-    builder -> ((string * string) * (Counters.primitive * int) list) list -> unit
-  (** Store the per-(party, phase) attribution — normally
-      [Counters.attribution ()] captured inside the [Counters.with_fresh]
-      thunk, before the counter state is restored. *)
-
-  val finish :
-    builder ->
-    result:Relation.t ->
-    exact:Relation.t ->
-    client_received_tuples:int ->
-    counters:(Counters.primitive * int) list ->
-    t
 end

@@ -1,6 +1,5 @@
 open Secmed_bigint
 open Secmed_crypto
-open Secmed_relalg
 open Secmed_mediation
 
 type variant =
@@ -154,197 +153,166 @@ let validate_ciphertexts ~phase ~party label cts =
     cts
 
 let run ?fault ?endpoint ?(variant = Session_keys) env client ~query =
-  let b = Outcome.Builder.create ~scheme:("pm-" ^ variant_name variant) in
-  let tr = Outcome.Builder.transcript b in
-  Fault.attach fault tr;
-  let link = Link.make ?endpoint ?fault tr in
-  let (result, exact, received), counters =
-    Counters.with_fresh (fun () ->
-        let request =
-          Outcome.Builder.timed b ~party:"Mediator" "request" (fun () -> Request.run link env client ~query)
-        in
-        let exact = Request.exact_result env request in
-        let pk = Paillier.public client.Env.paillier_key in
-        let n_bytes = (Bigint.numbits pk.Paillier.n + 7) / 8 in
-        let ct_bytes = ciphertext_bytes pk in
-        let s1 = request.Request.decomposition.Catalog.left.Catalog.source in
-        let s2 = request.Request.decomposition.Catalog.right.Catalog.source in
+  Outcome.Builder.run ~scheme:("pm-" ^ variant_name variant) ?fault ?endpoint (fun b link ->
+      let request = Request.run b link env client ~query in
+      let exact = Request.exact_result request in
+      let pk = Paillier.public client.Env.paillier_key in
+      let n_bytes = (Bigint.numbits pk.Paillier.n + 7) / 8 in
+      let ct_bytes = ciphertext_bytes pk in
+      let s1 = request.Request.decomposition.Catalog.left.Catalog.source in
+      let s2 = request.Request.decomposition.Catalog.right.Catalog.source in
 
-        (* Step 1: the client's homomorphic public key is distributed with
-           its credentials (we account for it explicitly). *)
-        let pk_payload () = Bigint.to_bytes_be_padded n_bytes pk.Paillier.n in
-        Link.deliver link ~phase:"request" ~sender:Client ~receiver:Mediator
-          ~label:"homomorphic-pk" ~size:n_bytes pk_payload;
-        Link.deliver link ~phase:"request" ~sender:Mediator ~receiver:(Source s1)
-          ~label:"homomorphic-pk" ~size:n_bytes pk_payload;
-        Link.deliver link ~phase:"request" ~sender:Mediator ~receiver:(Source s2)
-          ~label:"homomorphic-pk" ~size:n_bytes pk_payload;
+      (* Step 1: the client's homomorphic public key is distributed with
+         its credentials (we account for it explicitly). *)
+      let pk_payload () = Bigint.to_bytes_be_padded n_bytes pk.Paillier.n in
+      Link.deliver link ~phase:"request" ~sender:Client ~receiver:Mediator
+        ~label:"homomorphic-pk" ~size:n_bytes pk_payload;
+      Link.deliver link ~phase:"request" ~sender:Mediator ~receiver:(Source s1)
+        ~label:"homomorphic-pk" ~size:n_bytes pk_payload;
+      Link.deliver link ~phase:"request" ~sender:Mediator ~receiver:(Source s2)
+        ~label:"homomorphic-pk" ~size:n_bytes pk_payload;
 
-        (* Steps 2/3: each source builds its polynomial from its active
-           domain and sends the encrypted coefficients to the mediator. *)
-        let prng1 = Env.prng_for env (Printf.sprintf "pm-source-%d" s1) in
-        let prng2 = Env.prng_for env (Printf.sprintf "pm-source-%d" s2) in
-        let build_poly which prng sid =
-          Outcome.Builder.timed b ~party:(Transcript.party_name (Source sid)) "source-polynomial" (fun () ->
-              let roots = List.map root_of_key (Request.join_attr_values request which) in
-              let poly = Pm_poly.from_roots ~modulus:pk.Paillier.n roots in
-              let coeffs = Pm_poly.encrypt prng pk poly in
-              (* A byzantine source ships values outside the ciphertext
-                 group; the opposite source's range check catches them. *)
-              let coeffs =
-                match Fault.byzantine_mode fault sid with
-                | Some Fault.Garbage_paillier ->
-                  List.map (fun _ -> Paillier.ciphertext_of_bigint pk Bigint.zero) coeffs
-                | _ -> coeffs
-              in
-              Link.deliver_rows link ~phase:"mediator-forward" ~sender:(Source sid)
-                ~receiver:Mediator ~label:"encrypted-coefficients"
-                ~size:(ct_bytes * List.length coeffs)
-                (fun () -> cts_rows ct_bytes coeffs);
-              coeffs)
-        in
-        let coeffs1 = build_poly `Left prng1 s1 in
-        let coeffs2 = build_poly `Right prng2 s2 in
-        (* The coefficient count reveals the polynomial degree, i.e. the
-           size of the active domain, to the mediator (and to the opposite
-           source after forwarding). *)
-        Outcome.Builder.mediator_sees b "cardinality-domactive-R1"
-          (List.length coeffs1 - 1);
-        Outcome.Builder.mediator_sees b "cardinality-domactive-R2"
-          (List.length coeffs2 - 1);
+      (* Steps 2/3: each source builds its polynomial from its active
+         domain and sends the encrypted coefficients to the mediator. *)
+      let prng1 = Env.prng_for env (Printf.sprintf "pm-source-%d" s1) in
+      let prng2 = Env.prng_for env (Printf.sprintf "pm-source-%d" s2) in
+      let build_poly which prng sid =
+        Outcome.Builder.timed b ~party:(Transcript.party_name (Source sid)) "source-polynomial" (fun () ->
+            let roots = List.map root_of_key (Request.join_attr_values request which) in
+            let poly = Pm_poly.from_roots ~modulus:pk.Paillier.n roots in
+            let coeffs = Pm_poly.encrypt prng pk poly in
+            (* A byzantine source ships values outside the ciphertext
+               group; the opposite source's range check catches them. *)
+            let coeffs =
+              match Fault.byzantine_mode fault sid with
+              | Some Fault.Garbage_paillier ->
+                List.map (fun _ -> Paillier.ciphertext_of_bigint pk Bigint.zero) coeffs
+              | _ -> coeffs
+            in
+            Link.deliver_rows link ~phase:"mediator-forward" ~sender:(Source sid)
+              ~receiver:Mediator ~label:"encrypted-coefficients"
+              ~size:(ct_bytes * List.length coeffs)
+              (fun () -> cts_rows ct_bytes coeffs);
+            coeffs)
+      in
+      let coeffs1 = build_poly `Left prng1 s1 in
+      let coeffs2 = build_poly `Right prng2 s2 in
+      (* The coefficient count reveals the polynomial degree, i.e. the
+         size of the active domain, to the mediator (and to the opposite
+         source after forwarding). *)
+      Outcome.Builder.mediator_sees b "cardinality-domactive-R1"
+        (List.length coeffs1 - 1);
+      Outcome.Builder.mediator_sees b "cardinality-domactive-R2"
+        (List.length coeffs2 - 1);
 
-        (* Step 4: the mediator forwards the encrypted coefficients. *)
-        Link.deliver link ~phase:"source-evaluate" ~sender:Mediator ~receiver:(Source s2)
-          ~label:"encrypted-coefficients-P1" ~size:(ct_bytes * List.length coeffs1)
-          (fun () -> cts_payload ct_bytes coeffs1);
-        Link.deliver link ~phase:"source-evaluate" ~sender:Mediator ~receiver:(Source s1)
-          ~label:"encrypted-coefficients-P2" ~size:(ct_bytes * List.length coeffs2)
-          (fun () -> cts_payload ct_bytes coeffs2);
-        Outcome.Builder.source_sees b s1 "degree-opposite-polynomial"
-          (List.length coeffs2 - 1);
-        Outcome.Builder.source_sees b s2 "degree-opposite-polynomial"
-          (List.length coeffs1 - 1);
+      (* Step 4: the mediator forwards the encrypted coefficients. *)
+      Link.deliver link ~phase:"source-evaluate" ~sender:Mediator ~receiver:(Source s2)
+        ~label:"encrypted-coefficients-P1" ~size:(ct_bytes * List.length coeffs1)
+        (fun () -> cts_payload ct_bytes coeffs1);
+      Link.deliver link ~phase:"source-evaluate" ~sender:Mediator ~receiver:(Source s1)
+        ~label:"encrypted-coefficients-P2" ~size:(ct_bytes * List.length coeffs2)
+        (fun () -> cts_payload ct_bytes coeffs2);
+      Outcome.Builder.source_sees b s1 "degree-opposite-polynomial"
+        (List.length coeffs2 - 1);
+      Outcome.Builder.source_sees b s2 "degree-opposite-polynomial"
+        (List.length coeffs1 - 1);
 
-        (* Steps 5/6: each source evaluates the opposite polynomial at its
-           own values and returns the masked e-values. *)
-        let next_first_id = ref 0 in
-        let eval_side which prng sid opp_coeffs =
-          Outcome.Builder.timed b ~party:(Transcript.party_name (Source sid)) "source-evaluate" (fun () ->
-              validate_ciphertexts ~phase:"source-evaluate" ~party:(Source sid)
-                "opposite polynomial" opp_coeffs;
-              let first_id = !next_first_id in
-              next_first_id := first_id + List.length (Request.groups request which);
-              let output =
-                evaluate_side ~variant ~prng ~pk ~opp_coeffs ~request ~which ~first_id
-              in
-              (* A byzantine source damages the DEM blobs of its ID table
-                 (session-key variant); the client's authenticated DEM
-                 decryption fails on every matched entry. *)
-              let output =
-                match Fault.byzantine_mode fault sid with
-                | Some Fault.Malformed_ciphertexts ->
-                  {
-                    output with
-                    id_table =
-                      List.map (fun (id, blob) -> (id, Fault.flip_tail blob)) output.id_table;
-                  }
-                | _ -> output
-              in
-              Link.deliver_rows link ~phase:"mediator-forward" ~sender:(Source sid)
-                ~receiver:Mediator ~label:"e-values"
-                ~size:((ct_bytes * List.length output.e_values) + output.id_table_bytes)
-                (fun () ->
-                  cts_rows ct_bytes output.e_values @ id_table_rows output.id_table);
-              output)
-        in
-        let out1 = eval_side `Left prng1 s1 coeffs2 in
-        let out2 = eval_side `Right prng2 s2 coeffs1 in
+      (* Steps 5/6: each source evaluates the opposite polynomial at its
+         own values and returns the masked e-values. *)
+      let next_first_id = ref 0 in
+      let eval_side which prng sid opp_coeffs =
+        Outcome.Builder.timed b ~party:(Transcript.party_name (Source sid)) "source-evaluate" (fun () ->
+            validate_ciphertexts ~phase:"source-evaluate" ~party:(Source sid)
+              "opposite polynomial" opp_coeffs;
+            let first_id = !next_first_id in
+            next_first_id := first_id + List.length (Request.groups request which);
+            let output =
+              evaluate_side ~variant ~prng ~pk ~opp_coeffs ~request ~which ~first_id
+            in
+            (* A byzantine source damages the DEM blobs of its ID table
+               (session-key variant); the client's authenticated DEM
+               decryption fails on every matched entry. *)
+            let output =
+              match Fault.byzantine_mode fault sid with
+              | Some Fault.Malformed_ciphertexts ->
+                {
+                  output with
+                  id_table =
+                    List.map (fun (id, blob) -> (id, Fault.flip_tail blob)) output.id_table;
+                }
+              | _ -> output
+            in
+            Link.deliver_rows link ~phase:"mediator-forward" ~sender:(Source sid)
+              ~receiver:Mediator ~label:"e-values"
+              ~size:((ct_bytes * List.length output.e_values) + output.id_table_bytes)
+              (fun () ->
+                cts_rows ct_bytes output.e_values @ id_table_rows output.id_table);
+            output)
+      in
+      let out1 = eval_side `Left prng1 s1 coeffs2 in
+      let out2 = eval_side `Right prng2 s2 coeffs1 in
 
-        (* Step 7: the mediator sends the n+m encrypted values (and, in the
-           session-key variant, the ID tables) to the client. *)
-        let total_e = List.length out1.e_values + List.length out2.e_values in
-        Link.deliver_rows link ~phase:"client-postprocess" ~sender:Mediator ~receiver:Client
-          ~label:"e-values"
-          ~size:((ct_bytes * total_e) + out1.id_table_bytes + out2.id_table_bytes)
-          (fun () ->
-            cts_rows ct_bytes out1.e_values
-            @ cts_rows ct_bytes out2.e_values
-            @ id_table_rows out1.id_table
-            @ id_table_rows out2.id_table);
-        Outcome.Builder.client_sees b "ciphertexts-received" total_e;
+      (* Step 7: the mediator sends the n+m encrypted values (and, in the
+         session-key variant, the ID tables) to the client. *)
+      let total_e = List.length out1.e_values + List.length out2.e_values in
+      Link.deliver_rows link ~phase:"client-postprocess" ~sender:Mediator ~receiver:Client
+        ~label:"e-values"
+        ~size:((ct_bytes * total_e) + out1.id_table_bytes + out2.id_table_bytes)
+        (fun () ->
+          cts_rows ct_bytes out1.e_values
+          @ cts_rows ct_bytes out2.e_values
+          @ id_table_rows out1.id_table
+          @ id_table_rows out2.id_table);
+      Outcome.Builder.client_sees b "ciphertexts-received" total_e;
 
-        (* Step 8: the client decrypts everything and keeps the matches. *)
-        let received = ref 0 in
-        let result =
-          Outcome.Builder.timed b ~party:"Client" "client-postprocess" (fun () ->
-              validate_ciphertexts ~phase:"client-postprocess" ~party:Client "e-values"
-                out1.e_values;
-              validate_ciphertexts ~phase:"client-postprocess" ~party:Client "e-values"
-                out2.e_values;
-              let entries1 = decrypt_entries client.Env.paillier_key out1.e_values in
-              let entries2 = decrypt_entries client.Env.paillier_key out2.e_values in
-              Outcome.Builder.client_sees b "well-formed-decryptions"
-                (List.length entries1 + List.length entries2);
-              (* Hash the ID tables and the right-side entries once, so
-                 the postprocess is O(n + m) rather than O(n * m) list
-                 scans (mirrors the mediator's match in
-                 commutative_join.ml). *)
-              let id_lookup table =
-                let h = Hashtbl.create (List.length table) in
-                List.iter
-                  (fun (id, blob) ->
-                    if not (Hashtbl.mem h id) then Hashtbl.add h id blob)
-                  table;
-                Hashtbl.find_opt h
-              in
-              let by_root = Hashtbl.create (List.length entries2) in
-              List.iter (fun e -> Hashtbl.replace by_root e.root e) entries2;
-              let join_attrs = Request.join_attrs request in
-              let right_schema = Relation.schema request.Request.right_result in
-              let pos_right = Join_key.positions right_schema join_attrs in
-              let keep_right =
-                Array.of_list
-                  (List.filter
-                     (fun i -> not (Array.exists (Int.equal i) pos_right))
-                     (List.init (Schema.arity right_schema) Fun.id))
-              in
-              let joined_schema =
-                Schema.append
-                  (Relation.schema request.Request.left_result)
-                  (Schema.make
-                     (List.map (Schema.attr_at right_schema) (Array.to_list keep_right)))
-              in
-              let joined =
-                List.concat_map
-                  (fun e1 ->
-                    match Hashtbl.find_opt by_root e1.root with
-                    | None -> []
-                    | Some e2 ->
-                      let tup1 = recover_tuples ~variant ~id_lookup:(id_lookup out1.id_table) e1 in
-                      let tup2 = recover_tuples ~variant ~id_lookup:(id_lookup out2.id_table) e2 in
-                      (match (tup1, tup2) with
-                       | Some tup1, Some tup2 ->
-                         received := !received + (List.length tup1 * List.length tup2);
-                         List.concat_map
-                           (fun t1 ->
-                             List.map
-                               (fun t2 -> Tuple.append t1 (Tuple.project keep_right t2))
-                               tup2)
-                           tup1
-                       | None, _ | _, None ->
-                         (* A root match certifies both sides carried this
-                            join value, so honest payloads always recover
-                            (16-byte root collisions are negligible): an
-                            unrecoverable payload is a damaged ID table,
-                            not a non-match — fail closed rather than
-                            silently under-report. *)
-                         Fault.fail ~phase:"client-postprocess" ~party:Client
-                           "matched entry with unrecoverable payload"))
-                  entries1
-              in
-              Request.finalize request (Relation.make joined_schema joined))
-        in
-        Outcome.Builder.attribute b (Counters.attribution ());
-        (result, exact, !received))
-  in
-  Outcome.Builder.finish b ~result ~exact ~client_received_tuples:received ~counters
+      (* Step 8: the client decrypts everything and keeps the matches. *)
+      let received = ref 0 in
+      let result =
+        Outcome.Builder.timed b ~party:"Client" "client-postprocess" (fun () ->
+            validate_ciphertexts ~phase:"client-postprocess" ~party:Client "e-values"
+              out1.e_values;
+            validate_ciphertexts ~phase:"client-postprocess" ~party:Client "e-values"
+              out2.e_values;
+            let entries1 = decrypt_entries client.Env.paillier_key out1.e_values in
+            let entries2 = decrypt_entries client.Env.paillier_key out2.e_values in
+            Outcome.Builder.client_sees b "well-formed-decryptions"
+              (List.length entries1 + List.length entries2);
+            (* Hash the ID tables and the right-side entries once, so
+               the postprocess is O(n + m) rather than O(n * m) list
+               scans (mirrors the mediator's match in
+               commutative_join.ml). *)
+            let id_lookup table =
+              let h = Hashtbl.create (List.length table) in
+              List.iter
+                (fun (id, blob) ->
+                  if not (Hashtbl.mem h id) then Hashtbl.add h id blob)
+                table;
+              Hashtbl.find_opt h
+            in
+            let id_lookup1 = id_lookup out1.id_table and id_lookup2 = id_lookup out2.id_table in
+            let by_root = Hashtbl.create (List.length entries2) in
+            List.iter (fun e -> Hashtbl.replace by_root e.root e) entries2;
+            Request.client_join request
+              (List.filter_map
+                 (fun e1 ->
+                   match Hashtbl.find_opt by_root e1.root with
+                   | None -> None
+                   | Some e2 ->
+                     let tup1 = recover_tuples ~variant ~id_lookup:id_lookup1 e1 in
+                     let tup2 = recover_tuples ~variant ~id_lookup:id_lookup2 e2 in
+                     (match (tup1, tup2) with
+                      | Some tup1, Some tup2 ->
+                        received := !received + (List.length tup1 * List.length tup2);
+                        Some (tup1, tup2)
+                      | None, _ | _, None ->
+                        (* A root match certifies both sides carried this
+                           join value, so honest payloads always recover
+                           (16-byte root collisions are negligible): an
+                           unrecoverable payload is a damaged ID table,
+                           not a non-match — fail closed rather than
+                           silently under-report. *)
+                        Fault.fail ~phase:"client-postprocess" ~party:Client
+                          "matched entry with unrecoverable payload"))
+                 entries1))
+      in
+      (result, exact, !received))

@@ -81,8 +81,7 @@ let with_cluster ?params ?policy ?(chaos = []) ?(max_sessions = 8) ?(io_timeout 
           fork_proc (fun () ->
               Peer.source ~id:sid ~env:c_env ~client:c_client
                 ~scenario:(Shard.digest c_scenario ~shard:(sh, shards))
-                ~listen_fd:fd ~shard:(sh, shards) ~io_timeout ?drain_deadline
-                ~drain_on_sigterm:true ()) ))
+                ~listen_fd:fd ~shard:(sh, shards) ~io_timeout ?drain_deadline ()) ))
       source_fds
   in
   let c_mediator_pid =
@@ -97,14 +96,10 @@ let with_cluster ?params ?policy ?(chaos = []) ?(max_sessions = 8) ?(io_timeout 
                         addr_for (sid, sh, r) sport)) ))
             [ 1; 2 ]
         in
-        let server =
-          Server.create ~env:c_env ~client:c_client ~scenario:c_scenario ~sources
-            ~listen_fd:med_fd ?policy ~max_sessions ~io_timeout ?source_conns ?workers
-            ?drain_deadline ?health_interval ()
-        in
-        Sys.set_signal Sys.sigterm
-          (Sys.Signal_handle (fun _ -> Server.begin_drain server));
-        Server.serve server)
+        Server.serve
+          (Server.create ~env:c_env ~client:c_client ~scenario:c_scenario ~sources
+             ~listen_fd:med_fd ?policy ~max_sessions ~io_timeout ?source_conns ?workers
+             ?drain_deadline ?health_interval ()))
   in
   let pids = List.map snd c_source_pids @ [ c_mediator_pid ] in
   (* The children own the listeners now; the proxies, which live as

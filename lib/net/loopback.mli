@@ -51,9 +51,9 @@ val with_cluster :
     replica 0) only.  [shards] (default 1) splits each source into that
     many partitioned daemons: streamed deliveries arrive as k merged
     chunk streams, and results must be bit-identical to the unsharded
-    run (DESIGN.md §16).  The mediator installs a SIGTERM →
-    {!Server.begin_drain} handler, so a test can drain-restart it like
-    a real deployment would. *)
+    run (DESIGN.md §16).  Like every {!Server.serve}, the mediator
+    drains on SIGTERM, so a test can drain-restart it like a real
+    deployment would. *)
 
 val source_pid : cluster -> ?shard:int -> id:int -> replica:int -> unit -> int
 (** The daemon process serving [replica] (0 = primary) of source [id]

@@ -82,7 +82,7 @@ type source_drain = {
 }
 
 let source ~id ~env ~client ~scenario ~listen_fd ?(shard = (0, 1)) ?(io_timeout = 10.)
-    ?(drain_deadline = 30.) ?(drain_on_sigterm = false) () =
+    ?(drain_deadline = 30.) () =
   let role = Transcript.Source id in
   let sd =
     { sd_mu = Mutex.create (); sd_active = 0; sd_draining = false; sd_deadline_at = infinity }
@@ -93,8 +93,7 @@ let source ~id ~env ~client ~scenario ~listen_fd ?(shard = (0, 1)) ?(io_timeout 
       sd.sd_draining <- true
     end
   in
-  if drain_on_sigterm then
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> begin_drain drain_deadline));
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> begin_drain drain_deadline));
   let serve_conn conn =
     match Frame.decode (Io.recv_frame conn) with
     | Frame.Ping ->

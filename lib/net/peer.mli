@@ -37,7 +37,6 @@ val source :
   ?shard:int * int ->
   ?io_timeout:float ->
   ?drain_deadline:float ->
-  ?drain_on_sigterm:bool ->
   unit ->
   unit
 (** Run datasource [id] as a daemon: accept mediator connections (a
@@ -53,8 +52,7 @@ val source :
 
     [Ping] probes are answered with a [Health] frame before any
     handshake.  A [Drain] frame carrying the right scenario digest (or
-    SIGTERM, when [drain_on_sigterm] is set — default off so embedding
-    processes keep their own handlers) flips the daemon into draining:
+    SIGTERM: the daemon installs its own handler) flips it into draining:
     new connections are refused with [Draining], brand-new sessions on
     existing pooled connections are refused with a typed
     [St_failed]/"draining" report (the mediator fails them over to a

@@ -1425,6 +1425,7 @@ let teardown ~drain t =
    deadline passes, then tears down without running whatever is still
    queued. *)
 let serve t =
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> begin_drain t));
   if t.health_interval > 0. then ignore (Thread.create (prober t) () : Thread.t);
   let rec loop () =
     if t.stopped then ()

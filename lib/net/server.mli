@@ -87,7 +87,8 @@ val create :
     unreachable ones down. *)
 
 val serve : t -> unit
-(** Accept loop; returns when {!stop} is called or a drain completes
+(** Accept loop; installs a SIGTERM handler that calls {!begin_drain},
+    then returns when {!stop} is called or a drain completes
     (all in-flight sessions finished, or the drain deadline passed —
     the draining teardown rejects still-queued sessions with a typed
     [Draining]).  Every accepted connection is routed by its first

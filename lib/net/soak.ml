@@ -157,16 +157,13 @@ let supervisor ~env ~client ~scenario ~cfg ~source_fds ~med_fd ~med_port ~ctl_fd
   in
   let run_source sid fd =
     Peer.source ~id:sid ~env ~client ~scenario ~listen_fd:fd ~io_timeout:cfg.io_timeout
-      ~drain_deadline ~drain_on_sigterm:true ()
+      ~drain_deadline ()
   in
   let run_mediator fd =
-    let server =
-      Server.create ~env ~client ~scenario ~sources ~listen_fd:fd ~policy:soak_policy
-        ~max_sessions:(cfg.workers + 4) ~io_timeout:cfg.io_timeout
-        ~workers:cfg.workers ~drain_deadline ~health_interval ~replica_cooldown ()
-    in
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> Server.begin_drain server));
-    Server.serve server
+    Server.serve
+      (Server.create ~env ~client ~scenario ~sources ~listen_fd:fd ~policy:soak_policy
+         ~max_sessions:(cfg.workers + 4) ~io_timeout:cfg.io_timeout
+         ~workers:cfg.workers ~drain_deadline ~health_interval ~replica_cooldown ())
   in
   (* A closed listening socket leaves no TIME_WAIT state, but give the
      kernel a beat anyway rather than failing a whole soak on a racy
@@ -380,8 +377,46 @@ let run ?(progress = fun (_ : string) -> ()) cfg =
         try load := Some (Loadgen.run lcfg target) with e -> load_exn := Some e)
       ()
   in
+  (* The invariants read the mediator's transition log, which only the
+     health checker and the sessions' dials write: wait (bounded, 5 s)
+     for the expected transitions rather than race them.  [edges kind
+     payload] counts each endpoint's [kind] edges in one incarnation's
+     log; [await kind targets] waits until every (endpoint, n) target has
+     more than n. *)
+  let edges kind payload (sid, r) =
+    List.length
+      (List.filter
+         (fun tr -> tr.tr_source = sid && tr.tr_replica = r && tr.tr_kind = kind)
+         (transitions_of_payload ~incarnation:0 payload))
+  in
+  let stats () = Peer.stats ~host:"127.0.0.1" ~port:med_port ~io_timeout:2.0 () in
+  let await kind targets =
+    let deadline = Unix.gettimeofday () +. 5. in
+    let rec go () =
+      match stats () with
+      | payload ->
+        if
+          (not (List.for_all (fun (ep, n) -> edges kind payload ep > n) targets))
+          && Unix.gettimeofday () < deadline
+        then begin
+          Thread.delay 0.1;
+          go ()
+        end
+      | exception _ -> ()
+    in
+    go ()
+  in
+  (* Each incarnation's log is stashed before it dies (drain) and at the
+     end.  A replica restarted moments before a stash still needs one
+     probe (cooldown + interval) before its up edge exists, and a
+     restarted mediator assumes every replica up, so it never logs that
+     edge: first wait for the up edges of the replicas restarted since
+     the previous stash. *)
   let stashes = ref [] in
+  let restarted_since_stash = ref [] in
   let stash_stats what =
+    await "up" (List.map (fun ep -> (ep, 0)) !restarted_since_stash);
+    restarted_since_stash := [];
     match Peer.stats ~host:"127.0.0.1" ~port:med_port ~io_timeout:2.0 () with
     | payload -> stashes := payload :: !stashes
     | exception _ -> violate "could not stash mediator stats %s" what
@@ -395,10 +430,16 @@ let run ?(progress = fun (_ : string) -> ()) cfg =
       match action with
       | Kill (sid, r) ->
         let at = now () in
+        let downs = try edges "down" (stats ()) (sid, r) with _ -> 0 in
         record "SIGKILL source %d replica %d" sid r;
         expect_ok "kill" (cmd (Printf.sprintf "kill %d %d" sid r));
         kills := (sid, r) :: !kills;
+        restarted_since_stash := (sid, r) :: !restarted_since_stash;
         Thread.delay cfg.kill_hold;
+        (* A replica no session is dialing dies unseen unless a probe
+           lands in the hold: keep it dead until its down edge is
+           logged. *)
+        await "down" [ ((sid, r), downs) ];
         record "restart source %d replica %d" sid r;
         expect_ok "start" (cmd (Printf.sprintf "start %d %d" sid r));
         kill_windows := (at, now ()) :: !kill_windows
@@ -415,32 +456,6 @@ let run ?(progress = fun (_ : string) -> ()) cfg =
     (schedule cfg);
   Thread.join fleet;
   record "fleet done";
-  (* A replica restarted moments before the fleet drained still needs
-     the health checker one probe (cooldown + interval) before its up
-     transition exists to be stashed: wait for the expected transitions
-     (bounded) rather than race the checker. *)
-  let has_up payloads (sid, r) =
-    List.exists
-      (fun payload ->
-        List.exists
-          (fun tr -> tr.tr_source = sid && tr.tr_replica = r && tr.tr_kind = "up")
-          (transitions_of_payload ~incarnation:0 payload))
-      payloads
-  in
-  let restarted = List.sort_uniq compare !kills in
-  let rec await_ups deadline =
-    match Peer.stats ~host:"127.0.0.1" ~port:med_port ~io_timeout:2.0 () with
-    | payload ->
-      if
-        (not (List.for_all (has_up (payload :: !stashes)) restarted))
-        && Unix.gettimeofday () < deadline
-      then begin
-        Thread.delay 0.1;
-        await_ups deadline
-      end
-    | exception _ -> ()
-  in
-  await_ups (Unix.gettimeofday () +. 5.);
   stash_stats "at end";
   let sk_transitions =
     List.concat

@@ -824,14 +824,14 @@ let prop_translation_sound =
            [ Das_partition.Singleton; Das_partition.Equi_depth k;
              Das_partition.Equi_width k; Das_partition.Hash_buckets k ]))
 
+let select_inventory =
+  Relation.of_rows
+    (Schema.of_list [ ("sku", Value.Tint); ("price", Value.Tint); ("label", Value.Tstring) ])
+    (List.init 20 (fun i ->
+         [ Value.Int i; Value.Int (10 * i); Value.Str (if i mod 2 = 0 then "even" else "odd") ]))
+
 let select_env () =
-  let inventory =
-    Relation.of_rows
-      (Schema.of_list
-         [ ("sku", Value.Tint); ("price", Value.Tint); ("label", Value.Tstring) ])
-      (List.init 20 (fun i ->
-           [ Value.Int i; Value.Int (10 * i); Value.Str (if i mod 2 = 0 then "even" else "odd") ]))
-  in
+  let inventory = select_inventory in
   let dummy = Relation.of_rows (Schema.of_list [ ("x", Value.Tint) ]) [ [ Value.Int 0 ] ] in
   Env.two_source ~params:fast ~seed:29 ~left:("Inventory", inventory) ~right:("Dummy", dummy) ()
 
@@ -864,6 +864,21 @@ let test_select_query_superset () =
   Alcotest.(check bool) "superset" true (o.Outcome.client_received_tuples >= exact);
   let fine = run_select ~strategy:Das_partition.Singleton "select * from Inventory where price < 30" in
   Alcotest.(check int) "singleton is tight" exact fine.Outcome.client_received_tuples
+
+(* A selection is no join: its outcome gets the selection claims (|R|
+   from the tuple-wise encryption, a superset at mediator and client),
+   none of the DAS join's two-relation claims. *)
+let test_select_query_leakage () =
+  let o =
+    run_select ~strategy:(Das_partition.Equi_depth 2) "select * from Inventory where price < 30"
+  in
+  check_correct "selection" o;
+  (* A selection's ground truth reads only |R| (card_left). *)
+  let g = Ground_truth.compute select_inventory select_inventory ~join_attr:"sku" in
+  let claims = Leakage.verify o ~ground_truth:g in
+  if claims = [] || not (Leakage.all_hold claims) then
+    Alcotest.failf "selection leakage claims violated:\n%s"
+      (Format.asprintf "%a" Leakage.pp_claims claims)
 
 let test_select_query_unsupported () =
   let rejects query =
@@ -1254,6 +1269,32 @@ let test_credential_subset_selection () =
   let o = Protocol.run_exn Protocol.Plain env client ~query:query_rb in
   check_correct "subset selection still authorizes" o
 
+(* A selection forwards its source only the credentials carrying a
+   property key the source advertises (Listing 1 step 2), as the join
+   request does: the partial query's size counts the role credential and
+   not the extra one. *)
+let test_select_credential_subset () =
+  let env = restricted_env ~policy:nurse_policy () in
+  let client =
+    Env.make_client env ~identity:"multi"
+      ~properties:
+        [ [ Credential.property "role" "physician" ];
+          [ Credential.property "hobby" "chess" ] ]
+  in
+  let o = Select_query.run env client ~query:"select * from Records where public = true" in
+  check_correct "selection by a physician" o;
+  let role = List.hd client.Env.credentials in
+  match
+    List.filter
+      (fun (m : Transcript.message) -> String.equal m.Transcript.label "partial-query")
+      (Transcript.messages o.Outcome.transcript)
+  with
+  | [ m ] ->
+    Alcotest.(check int) "partial query carries CR_1 only"
+      (String.length "Records" + Credential.size role)
+      m.Transcript.size
+  | ms -> Alcotest.failf "expected one partial query, got %d" (List.length ms)
+
 (* ------------------------------------------------------------------ *)
 (* Workload and environment plumbing. *)
 
@@ -1510,6 +1551,48 @@ let test_golden_commutative () =
         (commutative_fingerprint o))
     golden_commutative
 
+(* The other join drivers, pinned with the same full rendering. *)
+let golden_join_schemes =
+  let scheme s () = run_scheme s in
+  let das_setting setting () =
+    let env, client, query = scenario () in
+    Das.run ~setting env client ~query
+  in
+  [
+    ("das", scheme Protocol.default_das, "742c6bfb2c47fb29f0dcb7ad60d4d0d8");
+    ( "das-singleton",
+      scheme (Protocol.Das (Das_partition.Singleton, Das.Pair_index)),
+      "347a0d1b09718448a788a3465c700044" );
+    ( "das-nested-loop",
+      scheme (Protocol.Das (Das_partition.Equi_depth 4, Das.Nested_loop)),
+      "061c6cecb09d906fd377e75e181f4a17" );
+    ("das source setting", das_setting Das.Source_setting, "83c7e1448d85000ac3e16b204efff427");
+    ( "das mediator setting",
+      das_setting Das.Mediator_setting,
+      "b4a02a72e91fb6fe2f2ed3ad14378913" );
+    ( "pm session keys",
+      scheme (Protocol.Private_matching Pm_join.Session_keys),
+      "9fbf000f0c0153dc4eb063de16d00802" );
+    (* Direct payload packs Tup_i(a) into one Paillier plaintext: one
+       narrow tuple per key fits the fast key. *)
+    ( "pm direct payload",
+      (fun () ->
+        run_scheme
+          ~spec:{ small_spec with rows_left = 6; rows_right = 6; extra_attrs = 0 }
+          (Protocol.Private_matching Pm_join.Direct_payload)),
+      "0ce4ca440b119b39fac7b977a2946bde" );
+    ("mobile-code", scheme Protocol.Mobile_code, "c2cf1fd6d4c0088d03e4e918f1e4cb38");
+    ("plain", scheme Protocol.Plain, "279891320fdba1318338d441dec77d65");
+  ]
+
+let test_golden_join_schemes () =
+  List.iter
+    (fun (name, run, expected) ->
+      let o = run () in
+      check_correct name o;
+      check_fingerprint name expected (commutative_fingerprint o))
+    golden_join_schemes
+
 let golden_inventory_env () =
   let inventory =
     Relation.of_rows
@@ -1627,6 +1710,7 @@ let () =
           prop_translation_sound;
           Alcotest.test_case "end to end" `Quick test_select_query_end_to_end;
           Alcotest.test_case "superset behaviour" `Quick test_select_query_superset;
+          Alcotest.test_case "leakage claims" `Quick test_select_query_leakage;
           Alcotest.test_case "unsupported shapes" `Quick test_select_query_unsupported;
           Alcotest.test_case "wrong client key" `Quick test_select_wrong_key;
         ] );
@@ -1658,6 +1742,7 @@ let () =
           Alcotest.test_case "denied" `Quick test_access_denied;
           Alcotest.test_case "bad credential" `Quick test_bad_credential_rejected;
           Alcotest.test_case "credential subset" `Quick test_credential_subset_selection;
+          Alcotest.test_case "selection credential subset" `Quick test_select_credential_subset;
         ] );
       ( "plumbing",
         [
@@ -1670,6 +1755,7 @@ let () =
       ( "golden",
         [
           Alcotest.test_case "commutative outcomes" `Quick test_golden_commutative;
+          Alcotest.test_case "join-scheme outcomes" `Quick test_golden_join_schemes;
           Alcotest.test_case "side-path outcomes" `Quick test_golden_side_paths;
         ] );
     ]
